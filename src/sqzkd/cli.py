@@ -27,12 +27,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .emulator import (
     EmulationConfig,
+    ReconstructedCM,
     expected_record_covariance,
     generate_samples,
     normalize_to_shot_noise,
@@ -58,39 +59,6 @@ from .protocol import (
 
 COHERENT_REFERENCE_ETA = 0.58
 DEFAULT_SQUEEZING_SNU = 0.5
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for one sweep: a base instance and one varied axis."""
-
-    base: ProtocolParams
-    axis: str
-    grid: tuple
-    finite_size: FiniteSizeParams | None = None
-    emulate: EmulationConfig | None = None
-
-    AXES = ("v_a_db", "eta", "beta", "epsilon", "v_n")
-
-    def __post_init__(self):
-        if self.axis not in self.AXES:
-            raise ValueError(f"axis must be one of {self.AXES}, got {self.axis!r}")
-        grid = tuple(float(v) for v in self.grid)
-        if not grid:
-            raise ValueError("sweep grid must be non-empty")
-        if len(grid) > 1:
-            steps = [b - a for a, b in zip(grid, grid[1:])]
-            if not (all(s > 0 for s in steps) or all(s < 0 for s in steps)):
-                raise ValueError("sweep grid must be strictly monotone")
-        object.__setattr__(self, "grid", grid)
-
-    def points(self):
-        """Yield (axis value, protocol instance) along the grid, in grid order."""
-        for value in self.grid:
-            if self.axis == "v_a_db":
-                yield value, replace(self.base, v_a=db_to_snu(value))
-            else:
-                yield value, replace(self.base, **{self.axis: value})
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +163,12 @@ def _db_grid(min_db: float, max_db: float, step_db: float, insert: float | None 
     return sorted(values)
 
 
+def _decoupling_db(v_r: float) -> float | None:
+    """Decoupling modulation in dB, or None for a coherent source, where it is 0."""
+    v_a = decoupling_modulation(v_r)
+    return snu_to_db(v_a) if v_a > 0.0 else None
+
+
 def _grid_from_args(args, config, default_min: float, default_max: float,
                     insert: float | None) -> list[float]:
     lo = float(_get(args, config, "va_min_db", default_min))
@@ -216,21 +190,19 @@ def cmd_report(args, config) -> int:
 def cmd_fig2(args, config) -> int:
     v_r = _resolve_variance(args, config, "squeezing", "squeezing_db", DEFAULT_SQUEEZING_SNU)
     transmissions = _get(args, config, "transmissions", [0.098, 0.58, 0.9])
-    decoupling_db = snu_to_db(decoupling_modulation(v_r))
-    grid = _grid_from_args(args, config, -20.0, 10.0, decoupling_db)
+    grid = _grid_from_args(args, config, -20.0, 10.0, _decoupling_db(v_r))
     v_n = float(_get(args, config, "vn", 0.0))
     dv = float(_get(args, config, "dv", 0.0))
 
     rows = []
-    coherent = ProtocolParams(v_r=1.0, v_a=1.0, eta=COHERENT_REFERENCE_ETA, v_n=v_n)
-    for v_a_db, point in SweepSpec(coherent, "v_a_db", tuple(grid)).points():
-        rows.append({"protocol": "coherent", "eta": COHERENT_REFERENCE_ETA,
-                     "v_a_db": v_a_db, "v_a_snu": point.v_a,
-                     "chi_e_bits": holevo_eb(point)})
-    for eta in transmissions:
-        squeezed = ProtocolParams(v_r=v_r, v_a=1.0, eta=float(eta), delta_v=dv, v_n=v_n)
-        for v_a_db, point in SweepSpec(squeezed, "v_a_db", tuple(grid)).points():
-            rows.append({"protocol": "squeezed", "eta": float(eta),
+    series = [("coherent", 1.0, COHERENT_REFERENCE_ETA)]
+    series += [("squeezed", v_r, float(eta)) for eta in transmissions]
+    for name, vr, eta in series:
+        base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, delta_v=dv if name == "squeezed" else 0.0,
+                              v_n=v_n)
+        for v_a_db in grid:
+            point = replace(base, v_a=db_to_snu(v_a_db))
+            rows.append({"protocol": name, "eta": eta,
                          "v_a_db": v_a_db, "v_a_snu": point.v_a,
                          "chi_e_bits": holevo_eb(point)})
     _emit_rows(rows, ["protocol", "eta", "v_a_db", "v_a_snu", "chi_e_bits"],
@@ -242,7 +214,7 @@ def cmd_fig3(args, config) -> int:
     v_r = _resolve_variance(args, config, "squeezing", "squeezing_db", DEFAULT_SQUEEZING_SNU)
     transmissions = _get(args, config, "transmissions", [0.098, 0.25, 0.5, 0.75])
     beta = float(_get(args, config, "beta", 0.95))
-    grid = _grid_from_args(args, config, -20.0, 10.0, snu_to_db(decoupling_modulation(v_r)))
+    grid = _grid_from_args(args, config, -20.0, 10.0, _decoupling_db(v_r))
     v_n = float(_get(args, config, "vn", 0.0))
     dv = float(_get(args, config, "dv", 0.0))
 
@@ -252,7 +224,8 @@ def cmd_fig3(args, config) -> int:
     for name, vr, eta in series:
         base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, delta_v=dv if name == "squeezed" else 0.0,
                               v_n=v_n, beta=beta)
-        for v_a_db, point in SweepSpec(base, "v_a_db", tuple(grid)).points():
+        for v_a_db in grid:
+            point = replace(base, v_a=db_to_snu(v_a_db))
             rows.append({"protocol": name, "eta": eta, "beta": beta,
                          "v_a_db": v_a_db, "v_a_snu": point.v_a,
                          "key_rate_bits": key_rate_asymptotic(point)})
@@ -273,10 +246,12 @@ def cmd_fig4(args, config) -> int:
     eps_smooth = float(_get(args, config, "eps_smooth", 1e-10))
     eps_pa = float(_get(args, config, "eps_pa", 1e-10))
     v_n = float(_get(args, config, "vn", 0.0))
-    decoupling_db = snu_to_db(decoupling_modulation(v_r))
+    decoupling_db = _decoupling_db(v_r)
     # Sweeps start at the decoupling modulation: smaller alphabets are
-    # strictly dominated for the squeezed protocol (see README).
-    grid = _grid_from_args(args, config, decoupling_db, 10.0, decoupling_db)
+    # strictly dominated for the squeezed protocol (see README).  A coherent
+    # source has none and starts where fig2 and fig3 do.
+    grid = _grid_from_args(args, config, -20.0 if decoupling_db is None else decoupling_db,
+                           10.0, decoupling_db)
     v_a_grid = [db_to_snu(db) for db in grid]
 
     finite_params = []
@@ -360,20 +335,15 @@ def cmd_emulate(args, config) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
 
-    analytic = security_from_data(
-        _as_reconstruction(expected, cfg.n_samples), params.beta, v_n_trusted=0.0)
+    exact = ReconstructedCM(cm=CovarianceMatrix(expected), n_samples=cfg.n_samples,
+                            standard_errors=np.zeros_like(expected))
+    analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
     lines.append("")
     lines.append("quantity        data          model")
     for key, value in report.as_dict().items():
         lines.append(f"{key:15s} {value:13.6g} {getattr(analytic, key):13.6g}")
     _write_text(None, "\n".join(lines) + "\n")
     return 0
-
-
-def _as_reconstruction(matrix: np.ndarray, n_samples: int):
-    from .emulator import ReconstructedCM
-    return ReconstructedCM(cm=CovarianceMatrix(matrix), n_samples=n_samples,
-                           standard_errors=np.zeros_like(matrix))
 
 
 def cmd_validate(args, config) -> int:

@@ -29,7 +29,6 @@ from .gaussian import (
     CovarianceMatrix,
     apply_beamsplitter,
     condition_on_homodyne,
-    entropy_g,
     symplectic_eigenvalues,
 )
 from .protocol import (
@@ -37,6 +36,9 @@ from .protocol import (
     SecurityReport,
     build_joint_state,
     environment_variance,
+    holevo_from_cm,
+    qmi_from_cm,
+    shannon_leakage,
 )
 
 # Statistical slack on the uncertainty bound for reconstructed matrices.
@@ -270,18 +272,6 @@ def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.nd
     return full
 
 
-def _entropy_bits(cm: CovarianceMatrix, tol: float) -> float:
-    """Entropy with the clamping band widened to a statistical tolerance."""
-    total = 0.0
-    for nu in symplectic_eigenvalues(cm):
-        if nu < 1.0 - tol:
-            raise UnphysicalStateError(
-                f"symplectic eigenvalue {nu:.6g} below 1 beyond the statistical tolerance {tol}"
-            )
-        total += entropy_g(max(nu, 1.0))
-    return total
-
-
 def security_from_data(recon: ReconstructedCM, beta: float,
                        v_n_trusted: float = 0.0) -> SecurityReport:
     """Security quantities computed from a reconstructed covariance matrix.
@@ -297,9 +287,10 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     and the conditioning.  Batches produced by generate_samples already carry
     the electronic noise in their records, so data paths pass 0 here.
 
-    Symplectic eigenvalues may undershoot 1 by up to 0.05 to allow for
-    statistical noise; the entropy evaluation clamps them to 1.  Harder
-    violations raise with the offending eigenvalue.
+    The uncertainty bound is checked on the (B, E) state conditioned on the
+    sender's classical label x_a, which her placeholder phase row does not
+    enter.  Symplectic eigenvalues may undershoot 1 by up to 0.05 for
+    statistical noise and are clamped to 1; harder violations raise.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -307,7 +298,7 @@ def security_from_data(recon: ReconstructedCM, beta: float,
         raise ValueError(f"v_n_trusted must be >= 0, got {v_n_trusted}")
     m = recon.cm.entries
     tol = STATISTICAL_PHYSICALITY_TOL
-    nu_min = min(symplectic_eigenvalues(recon.cm))
+    nu_min = symplectic_eigenvalues(condition_on_homodyne(recon.cm, 0, "X"))[-1]
     if nu_min < 1.0 - tol:
         raise UnphysicalStateError(
             f"reconstructed matrix is statistically unphysical: "
@@ -319,31 +310,16 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     i_ab = 0.5 * math.log2(v_b / v_b_given_a)
 
     be = recon.cm.submatrix([1, 2])  # receiver mode, eavesdropper mode
-    eve = recon.cm.submatrix([2])
-    s_e = _entropy_bits(eve, tol)
-    noisy = np.array(be.entries)
-    noisy[0, 0] += v_n_trusted
-    conditioned = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
-    chi = s_e - _entropy_bits(conditioned, tol)
-    if chi < -1e-9:
-        raise RuntimeError(f"data-derived Holevo information {chi:.6g} < 0 beyond noise floor")
-    chi = max(chi, 0.0)
-
+    chi = holevo_from_cm(be, v_n_trusted, tol)
     c_eb = m[XE, XB] ** 2 / (m[XE, XE] * v_b)
     c_ea = m[XA, XE] ** 2 / (m[XA, XA] * m[XE, XE])
-    i_eb = 0.5 * math.log2(1.0 / (1.0 - c_eb)) if c_eb < 1.0 else math.inf
-    i_ea = 0.5 * math.log2(1.0 / (1.0 - c_ea)) if c_ea < 1.0 else math.inf
-
-    s_b = _entropy_bits(recon.cm.submatrix([1]), tol)
-    qmi = max(s_b + s_e - _entropy_bits(be, tol), 0.0)
-
     return SecurityReport(
         i_ab=i_ab,
         chi_e=chi,
         key_rate=beta * i_ab - chi,
         c_eb=c_eb,
         c_ea=c_ea,
-        i_eb_classical=i_eb,
-        i_ea_classical=i_ea,
-        qmi_eb=qmi,
+        i_eb_classical=shannon_leakage(c_eb),
+        i_ea_classical=shannon_leakage(c_ea),
+        qmi_eb=qmi_from_cm(be, tol),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ThresholdUndefinedError
 from .gaussian import snu_to_db
-from .protocol import ProtocolParams, holevo_eb, mutual_information_ab
+from .protocol import ProtocolParams, holevo_eb, key_rate_asymptotic, mutual_information_ab
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def delta_correction(fp: FiniteSizeParams) -> float:
 
 def key_rate_finite(p: ProtocolParams, fp: FiniteSizeParams) -> float:
     """Finite-size lower bound on the key rate in bits per exchanged signal."""
-    asymptotic_gap = p.beta * mutual_information_ab(p) - holevo_eb(p)
-    return (fp.n_key / fp.n_total) * (asymptotic_gap - delta_correction(fp))
+    return (fp.n_key / fp.n_total) * (key_rate_asymptotic(p) - delta_correction(fp))
 
 
 def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> float:

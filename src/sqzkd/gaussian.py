@@ -94,12 +94,6 @@ class CovarianceMatrix:
     def min_symplectic_eigenvalue(self) -> float:
         return symplectic_eigenvalues(self)[-1]
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        try:
-            return self.min_symplectic_eigenvalue() >= 1.0 - tol
-        except SymplecticPairingError:
-            return False
-
     def assert_physical(self, tol: float = PHYSICALITY_TOL) -> None:
         nu_min = self.min_symplectic_eigenvalue()
         if nu_min < 1.0 - tol:
@@ -170,9 +164,17 @@ def entropy_g(nu: float) -> float:
     return a * math.log2(a) - b * math.log2(b)
 
 
-def von_neumann_entropy(cm: CovarianceMatrix) -> float:
-    """Von Neumann entropy of a Gaussian state in bits: sum of g over the spectrum."""
-    return sum(entropy_g(nu) for nu in symplectic_eigenvalues(cm))
+def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
+    """Von Neumann entropy of a Gaussian state in bits: sum of g over the spectrum.
+
+    Symplectic eigenvalues in [1 - tol, 1] count as 1; smaller ones raise.
+    """
+    spectrum = symplectic_eigenvalues(cm)
+    if spectrum[-1] < 1.0 - tol:
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue {spectrum[-1]:.6g} is below 1 beyond the tolerance {tol}"
+        )
+    return sum(entropy_g(max(nu, 1.0)) for nu in spectrum)
 
 
 def condition_on_homodyne(cm: CovarianceMatrix, measured_mode: int,

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .gaussian import (
+    PHYSICALITY_TOL,
     CovarianceMatrix,
     apply_beamsplitter,
     condition_on_homodyne,
@@ -92,16 +93,7 @@ class SecurityReport:
     qmi_eb: float
 
     def as_dict(self) -> dict:
-        return {
-            "i_ab": self.i_ab,
-            "chi_e": self.chi_e,
-            "key_rate": self.key_rate,
-            "c_eb": self.c_eb,
-            "c_ea": self.c_ea,
-            "i_eb_classical": self.i_eb_classical,
-            "i_ea_classical": self.i_ea_classical,
-            "qmi_eb": self.qmi_eb,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
@@ -220,6 +212,19 @@ def _clamp_chi(chi: float) -> float:
     return max(chi, 0.0)
 
 
+def holevo_from_cm(cm: CovarianceMatrix, v_n: float = 0.0,
+                   tol: float = PHYSICALITY_TOL) -> float:
+    """Holevo bound S(E) - S(E | x_B) of a matrix over modes (B, E...); x_B adds trusted noise v_n.
+
+    ``tol`` is the entropies' clamping band: the model default, or statistical for data.
+    """
+    s_e = von_neumann_entropy(cm.submatrix(range(1, cm.n_modes)), tol)
+    noisy = np.array(cm.entries)
+    noisy[0, 0] += v_n
+    conditioned = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
+    return _clamp_chi(s_e - von_neumann_entropy(conditioned, tol))
+
+
 def holevo_eb(p: ProtocolParams) -> float:
     """Holevo bound on the eavesdropper's information about the receiver's X data.
 
@@ -233,14 +238,14 @@ def holevo_eb(p: ProtocolParams) -> float:
         chi = entropy_g(math.sqrt(ge[0, 0] * ge[1, 1])) - \
             entropy_g(math.sqrt(gc[0, 0] * gc[1, 1]))
         return _clamp_chi(chi)
-    joint, _ = build_joint_state(p)
-    eve_modes = list(range(1, joint.n_modes))
-    s_e = von_neumann_entropy(joint.submatrix(eve_modes))
-    noisy = np.array(joint.entries)
-    noisy[0, 0] += p.v_n
-    conditioned = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
-    s_cond = von_neumann_entropy(conditioned)
-    return _clamp_chi(s_e - s_cond)
+    return holevo_from_cm(build_joint_state(p)[0], p.v_n)
+
+
+def shannon_leakage(correlation: float) -> float:
+    """Shannon information 0.5 log2(1 / (1 - C)) of a squared correlation C, inf at C >= 1."""
+    if correlation >= 1.0:
+        return math.inf
+    return 0.5 * math.log2(1.0 / (1.0 - correlation))
 
 
 def classical_leakage(p: ProtocolParams, party: str) -> tuple[float, float]:
@@ -267,9 +272,7 @@ def classical_leakage(p: ProtocolParams, party: str) -> tuple[float, float]:
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     correlation = cov * cov / (v_e * v_other)
-    if correlation >= 1.0:
-        return correlation, math.inf
-    return correlation, 0.5 * math.log2(1.0 / (1.0 - correlation))
+    return correlation, shannon_leakage(correlation)
 
 
 def quantum_mutual_information_eb(p: ProtocolParams) -> float:
@@ -279,11 +282,14 @@ def quantum_mutual_information_eb(p: ProtocolParams) -> float:
     does not enter.  Vanishes only with no squeezing and no modulation, or
     for a lossless channel.
     """
-    joint, _ = build_joint_state(p)
-    s_b = von_neumann_entropy(joint.submatrix([0]))
-    s_e = von_neumann_entropy(joint.submatrix(range(1, joint.n_modes)))
-    s_be = von_neumann_entropy(joint)
-    return max(s_b + s_e - s_be, 0.0)
+    return qmi_from_cm(build_joint_state(p)[0])
+
+
+def qmi_from_cm(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
+    """S(B) + S(E) - S(BE) of a covariance matrix with mode 0 as B, modes 1.. as E."""
+    s_b = von_neumann_entropy(cm.submatrix([0]), tol)
+    s_e = von_neumann_entropy(cm.submatrix(range(1, cm.n_modes)), tol)
+    return max(s_b + s_e - von_neumann_entropy(cm, tol), 0.0)
 
 
 def key_rate_asymptotic(p: ProtocolParams) -> float:

@@ -124,6 +124,14 @@ class TestFig2:
         run(capsys, "fig2", "--seed", "1", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_coherent_source_has_no_decoupling_row(self, capsys, tmp_path):
+        target = tmp_path / "fig2.csv"
+        code, _, _ = run(capsys, "fig2", "--squeezing", "1", "--out", str(target))
+        assert code == 0
+        rows = read_csv(target)
+        assert len(rows) == 4 * 121
+        assert {float(r["v_a_db"]) for r in rows} == {-20.0 + 0.25 * k for k in range(121)}
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "fig2", "--transmissions", "--format", "json",
                            "--va-min-db", "-4", "--va-max-db", "-2", "--va-step-db", "1")
@@ -158,6 +166,12 @@ class TestFig3:
                          "--out", str(target))
         assert code == 0
         assert all(float(r["key_rate_bits"]) <= 1e-9 for r in read_csv(target))
+
+    def test_coherent_source_in_db(self, capsys, tmp_path):
+        target = tmp_path / "fig3.csv"
+        code, _, _ = run(capsys, "fig3", "--squeezing-db", "0", "--out", str(target))
+        assert code == 0
+        assert len(read_csv(target)) == 5 * 121
 
     def test_zero_efficiency_rejected(self, capsys):
         code, _, _ = run(capsys, "fig3", "--beta", "0")
@@ -208,6 +222,14 @@ class TestFig4:
         assert all(float(r["beta_star_n1e11"]) < float(r["beta_star_n1e10"])
                    for r in squeezed)
         assert any(float(r["beta_star_n1e10"]) < 1.0 for r in squeezed)
+
+    def test_coherent_source_starts_at_minus_20_db(self, capsys, tmp_path):
+        target = tmp_path / "fig4.csv"
+        code, _, _ = run(capsys, "fig4", "--squeezing", "1", "--out", str(target))
+        assert code == 0
+        table = read_csv(target)
+        assert len(table) == 2 * 2 * 121
+        assert min(float(r["v_a_db"]) for r in table) == -20.0
 
 
 class TestEmulate:

@@ -255,6 +255,19 @@ class TestSecurityFromData:
         with pytest.raises(UnphysicalStateError, match="0.8"):
             security_from_data(recon, beta=1.0)
 
+    def test_noise_divided_out_by_calibration_rejected(self):
+        # A calibration batch that keeps the channel's excess noise, as the
+        # emulate command builds it, shrinks B and E below the uncertainty
+        # bound given x_a (nu ~ 0.91): the check must still catch that.
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.2, beta=0.95)
+        cfg = ideal_config(50_000, seed=3)
+        calibration = generate_samples(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
+                                       replace(cfg, seed=4))
+        recon = reconstruct_covariance(
+            normalize_to_shot_noise(generate_samples(p, cfg), calibration))
+        with pytest.raises(UnphysicalStateError, match="statistically unphysical"):
+            security_from_data(recon, p.beta)
+
     def test_beta_validated(self):
         cfg = ideal_config(1000, seed=0)
         recon = exact_reconstruction(DECOUPLED, cfg)

@@ -203,6 +203,15 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(cm) == pytest.approx(
             entropy_g(2.0) + entropy_g(1.5), abs=1e-12)
 
+    def test_tolerance_band(self):
+        # nu = sqrt(0.97) ~ 0.985: clamped inside a 0.05 band, rejected by the default
+        cm = CovarianceMatrix.from_diagonal([2.0, 2.0, 0.97, 1.0])
+        assert von_neumann_entropy(cm, tol=0.05) == pytest.approx(G_AT_2, abs=1e-13)
+        with pytest.raises(UnphysicalStateError):
+            von_neumann_entropy(cm)
+        with pytest.raises(UnphysicalStateError, match="0.8"):
+            von_neumann_entropy(CovarianceMatrix.from_diagonal([0.8, 0.8]), tol=0.05)
+
     def test_never_negative(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -1,0 +1,65 @@
+"""Property-based tests over the realistic parameter domain.
+
+The domain is v_r in [0.1, 1], eta in [0.01, 0.99], delta_v in [0, 10],
+v_n in [0, 1], epsilon in [0, 0.1] and v_a in [0, 10]: every point of it
+must give a finite, consistent answer.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sqzkd.emulator import (
+    EmulationConfig,
+    ReconstructedCM,
+    expected_record_covariance,
+    security_from_data,
+)
+from sqzkd.gaussian import CovarianceMatrix
+from sqzkd.protocol import ProtocolParams, classical_leakage, holevo_eb, security_report
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
+v_r_values = st.floats(0.1, 1.0)
+eta_values = st.floats(0.01, 0.99)
+delta_v_values = st.floats(0.0, 10.0)
+v_n_values = st.floats(0.0, 1.0)
+epsilon_values = st.one_of(st.just(0.0), st.floats(0.0, 0.1))
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values, epsilon=epsilon_values)
+def test_holevo_bounds_classical_leakage(v_r, v_a, eta, delta_v, v_n, epsilon):
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    _, i_eb = classical_leakage(p, "B")
+    assert holevo_eb(p) >= i_eb - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values)
+def test_holevo_vanishes_at_decoupling(v_r, eta, delta_v, v_n):
+    p = ProtocolParams(v_r=v_r, v_a=1.0 - v_r, eta=eta, delta_v=delta_v, v_n=v_n)
+    assert holevo_eb(p) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(1e-3, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values)
+# exact moments that a physicality check on the whole 6x6 matrix, the
+# sender's placeholder phase row included, rejects (nu_min 0.947)
+@example(v_r=0.1015625, v_a=0.0625, eta=0.5, delta_v=0.0, v_n=0.0)
+def test_data_path_reproduces_model_on_exact_moments(v_r, v_a, eta, delta_v, v_n):
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n)
+    cfg = EmulationConfig(n_samples=10 ** 9, seed=0, ideal_detectors=True)
+    matrix = expected_record_covariance(replace(p, v_n=0.0), cfg)
+    recon = ReconstructedCM(cm=CovarianceMatrix(matrix), n_samples=cfg.n_samples,
+                            standard_errors=np.zeros_like(matrix))
+    got = security_from_data(recon, p.beta, v_n_trusted=v_n)
+    # at v_a = 1 - v_r the model's leakage terms are exactly 0 and the data
+    # path's are float noise (~1e-33), hence the absolute floor
+    for key, want in security_report(p).as_dict().items():
+        assert math.isclose(getattr(got, key), want, rel_tol=1e-9, abs_tol=1e-12), key
