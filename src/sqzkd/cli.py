@@ -156,23 +156,25 @@ def _write_text(out_path: str | None, text: str) -> None:
 def _db_grid(min_db: float, max_db: float, step_db: float, insert: float | None = None) -> list[float]:
     if step_db <= 0 or max_db < min_db:
         raise ValueError(f"invalid dB grid [{min_db}, {max_db}] step {step_db}")
-    count = int(round((max_db - min_db) / step_db))
+    # The end is kept when the span is a whole number of steps up to rounding.
+    count = math.floor((max_db - min_db) / step_db + 1e-9)
     values = [min_db + k * step_db for k in range(count + 1)]
     if insert is not None and min_db <= insert <= max_db and insert not in values:
         values.append(insert)
     return sorted(values)
 
 
-def _decoupling_db(v_r: float) -> float | None:
-    """Decoupling modulation in dB, or None for a coherent source, where it is 0."""
-    v_a = decoupling_modulation(v_r)
-    return snu_to_db(v_a) if v_a > 0.0 else None
+def _grid_from_args(args, config, v_r: float, from_decoupling: bool = False) -> list[float]:
+    """Modulation grid in dB holding the exact decoupling point of ``v_r``.
 
-
-def _grid_from_args(args, config, default_min: float, default_max: float,
-                    insert: float | None) -> list[float]:
+    A coherent source has decoupling modulation 0: nothing is inserted, and a
+    grid asked to start at the decoupling point starts at -20 dB instead.
+    """
+    decoupling_v_a = decoupling_modulation(v_r)
+    insert = snu_to_db(decoupling_v_a) if decoupling_v_a > 0.0 else None
+    default_min = insert if from_decoupling and insert is not None else -20.0
     lo = float(_get(args, config, "va_min_db", default_min))
-    hi = float(_get(args, config, "va_max_db", default_max))
+    hi = float(_get(args, config, "va_max_db", 10.0))
     step = float(_get(args, config, "va_step_db", 0.25))
     return _db_grid(lo, hi, step, insert)
 
@@ -187,55 +189,47 @@ def cmd_report(args, config) -> int:
     return 0 if report.key_rate > 0.0 else 2
 
 
-def cmd_fig2(args, config) -> int:
+def _modulation_sweep(args, config, default_transmissions: list[float], column: str,
+                      quantity, beta: float | None = None) -> int:
+    """fig2/fig3 rows: the coherent reference plus one squeezed series per transmission."""
     v_r = _resolve_variance(args, config, "squeezing", "squeezing_db", DEFAULT_SQUEEZING_SNU)
-    transmissions = _get(args, config, "transmissions", [0.098, 0.58, 0.9])
-    grid = _grid_from_args(args, config, -20.0, 10.0, _decoupling_db(v_r))
+    transmissions = _get(args, config, "transmissions", default_transmissions)
+    grid = _grid_from_args(args, config, v_r)
     v_n = float(_get(args, config, "vn", 0.0))
     dv = float(_get(args, config, "dv", 0.0))
+    fixed = {} if beta is None else {"beta": beta}
 
     rows = []
-    series = [("coherent", 1.0, COHERENT_REFERENCE_ETA)]
-    series += [("squeezed", v_r, float(eta)) for eta in transmissions]
-    for name, vr, eta in series:
-        base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, delta_v=dv if name == "squeezed" else 0.0,
-                              v_n=v_n)
+    series = [("coherent", 1.0, COHERENT_REFERENCE_ETA, 0.0)]
+    series += [("squeezed", v_r, float(eta), dv) for eta in transmissions]
+    for name, vr, eta, delta_v in series:
+        base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, **fixed)
         for v_a_db in grid:
             point = replace(base, v_a=db_to_snu(v_a_db))
-            rows.append({"protocol": name, "eta": eta,
-                         "v_a_db": v_a_db, "v_a_snu": point.v_a,
-                         "chi_e_bits": holevo_eb(point)})
-    _emit_rows(rows, ["protocol", "eta", "v_a_db", "v_a_snu", "chi_e_bits"],
+            rows.append({"protocol": name, "eta": eta, **fixed,
+                         "v_a_db": v_a_db, "v_a_snu": point.v_a, column: quantity(point)})
+    _emit_rows(rows, ["protocol", "eta", *fixed, "v_a_db", "v_a_snu", column],
                _get(args, config, "format", "csv"), _get(args, config, "out", None))
     return 0
+
+
+def cmd_fig2(args, config) -> int:
+    return _modulation_sweep(args, config, [0.098, 0.58, 0.9], "chi_e_bits", holevo_eb)
 
 
 def cmd_fig3(args, config) -> int:
-    v_r = _resolve_variance(args, config, "squeezing", "squeezing_db", DEFAULT_SQUEEZING_SNU)
-    transmissions = _get(args, config, "transmissions", [0.098, 0.25, 0.5, 0.75])
     beta = float(_get(args, config, "beta", 0.95))
-    grid = _grid_from_args(args, config, -20.0, 10.0, _decoupling_db(v_r))
-    v_n = float(_get(args, config, "vn", 0.0))
-    dv = float(_get(args, config, "dv", 0.0))
-
-    rows = []
-    series = [("coherent", 1.0, COHERENT_REFERENCE_ETA)]
-    series += [("squeezed", v_r, float(eta)) for eta in transmissions]
-    for name, vr, eta in series:
-        base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, delta_v=dv if name == "squeezed" else 0.0,
-                              v_n=v_n, beta=beta)
-        for v_a_db in grid:
-            point = replace(base, v_a=db_to_snu(v_a_db))
-            rows.append({"protocol": name, "eta": eta, "beta": beta,
-                         "v_a_db": v_a_db, "v_a_snu": point.v_a,
-                         "key_rate_bits": key_rate_asymptotic(point)})
-    _emit_rows(rows, ["protocol", "eta", "beta", "v_a_db", "v_a_snu", "key_rate_bits"],
-               _get(args, config, "format", "csv"), _get(args, config, "out", None))
-    return 0
+    return _modulation_sweep(args, config, [0.098, 0.25, 0.5, 0.75], "key_rate_bits",
+                             key_rate_asymptotic, beta)
 
 
 def _finite_column(n_total: float) -> str:
-    return "beta_star_n" + f"{n_total:.0e}".replace("e+", "e").replace("e0", "e")
+    """Column name with the fewest significant digits that identify ``n_total``."""
+    for digits in range(17):
+        text = f"{n_total:.{digits}e}"
+        if float(text) == n_total:
+            break
+    return "beta_star_n" + text.replace("e+", "e").replace("e0", "e")
 
 
 def cmd_fig4(args, config) -> int:
@@ -246,42 +240,33 @@ def cmd_fig4(args, config) -> int:
     eps_smooth = float(_get(args, config, "eps_smooth", 1e-10))
     eps_pa = float(_get(args, config, "eps_pa", 1e-10))
     v_n = float(_get(args, config, "vn", 0.0))
-    decoupling_db = _decoupling_db(v_r)
     # Sweeps start at the decoupling modulation: smaller alphabets are
-    # strictly dominated for the squeezed protocol (see README).  A coherent
-    # source has none and starts where fig2 and fig3 do.
-    grid = _grid_from_args(args, config, -20.0 if decoupling_db is None else decoupling_db,
-                           10.0, decoupling_db)
+    # strictly dominated for the squeezed protocol (see README).
+    grid = _grid_from_args(args, config, v_r, from_decoupling=True)
     v_a_grid = [db_to_snu(db) for db in grid]
 
-    finite_params = []
+    finite_columns = {}
+    n_key = _get(args, config, "n_key", None)
     for n_total in finite_ns:
-        n_key = _get(args, config, "n_key", None)
+        fp = FiniteSizeParams.from_total(n_total, eps_smooth=eps_smooth, eps_pa=eps_pa)
         if n_key is not None:
-            fp = FiniteSizeParams(n_key=float(n_key), n_total=n_total,
-                                  eps_smooth=eps_smooth, eps_pa=eps_pa)
-        else:
-            fp = FiniteSizeParams.from_total(n_total, eps_smooth=eps_smooth, eps_pa=eps_pa)
-        finite_params.append((n_total, fp))
+            fp = replace(fp, n_key=float(n_key))
+        column = _finite_column(n_total)
+        if column in finite_columns:
+            raise ValueError(f"finite-size total {n_total:g} is given more than once")
+        finite_columns[column] = fp
 
     rows = []
     for name, vr in (("squeezed", v_r), ("coherent", 1.0)):
         for epsilon in epsilons:
             base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, epsilon=epsilon, v_n=v_n)
-            asymptotic = security_region(base, v_a_grid)
-            finite_curves = {n: security_region(base, v_a_grid, fp)
-                             for n, fp in finite_params}
-            for k, point in enumerate(asymptotic):
-                row = {"protocol": name, "epsilon": epsilon,
-                       "v_a_db": grid[k], "v_a_snu": point.v_a,
-                       "beta_star_asymptotic": point.beta_star,
-                       "secure_flag": point.secure}
-                for n_total, _ in finite_params:
-                    row[_finite_column(n_total)] = finite_curves[n_total][k].beta_star
-                rows.append(row)
-    columns = ["protocol", "epsilon", "v_a_db", "v_a_snu", "beta_star_asymptotic"]
-    columns += [_finite_column(n) for n, _ in finite_params]
-    columns += ["secure_flag"]
+            for db, point in zip(grid, security_region(base, v_a_grid)):
+                rows.append({"protocol": name, "epsilon": epsilon, "v_a_db": db,
+                             "v_a_snu": point.v_a, "beta_star_asymptotic": point.beta_star,
+                             **{c: point.beta_star_at(fp) for c, fp in finite_columns.items()},
+                             "secure_flag": point.secure})
+    columns = ["protocol", "epsilon", "v_a_db", "v_a_snu", "beta_star_asymptotic",
+               *finite_columns, "secure_flag"]
     _emit_rows(rows, columns, _get(args, config, "format", "csv"),
                _get(args, config, "out", None))
     return 0
@@ -372,8 +357,6 @@ def cmd_validate(args, config) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file supplying any flag; explicit flags win")
     parser.add_argument("--out", help="output path (default: standard output)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="format",
-                        help="tabular output format (default csv)")
     parser.add_argument("--seed", type=int, help="random seed; output is bit-reproducible given it")
 
 
@@ -392,7 +375,10 @@ def _add_protocol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="reconciliation efficiency in (0, 1]")
 
 
-def _add_grid(parser: argparse.ArgumentParser) -> None:
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--format", choices=("csv", "json"), dest="format",
+                        help="tabular output format (default csv)")
     parser.add_argument("--va-min-db", type=float, dest="va_min_db", help="modulation grid start, dB")
     parser.add_argument("--va-max-db", type=float, dest="va_max_db", help="modulation grid end, dB")
     parser.add_argument("--va-step-db", type=float, dest="va_step_db",
@@ -401,6 +387,15 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--squeezing", type=float, help="squeezed variance for the sweep, SNU (default 0.5)")
     group.add_argument("--squeezing-db", type=float, dest="squeezing_db",
                        help="squeezed variance for the sweep, dB")
+    parser.add_argument("--vn", type=float, help="trusted electronic noise, SNU")
+
+
+def _add_series(parser: argparse.ArgumentParser, default_transmissions: str) -> None:
+    _add_sweep(parser)
+    parser.add_argument("--transmissions", type=float, nargs="*",
+                        help="channel transmittances for the squeezed series "
+                             f"(default {default_transmissions})")
+    parser.add_argument("--dv", type=float, help="anti-squeezed excess variance, SNU")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,25 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: protocol, eta, v_a_db, v_a_snu, chi_e_bits. "
                     "Emits a coherent reference series at 58%% transmission plus one "
                     "squeezed series per requested transmission.")
-    _add_common(f2)
-    _add_grid(f2)
-    f2.add_argument("--transmissions", type=float, nargs="*",
-                    help="channel transmittances for the squeezed series (default 0.098 0.58 0.9)")
-    f2.add_argument("--vn", type=float, help="trusted electronic noise, SNU")
-    f2.add_argument("--dv", type=float, help="anti-squeezed excess variance, SNU")
+    _add_series(f2, "0.098 0.58 0.9")
     f2.set_defaults(func=cmd_fig2)
 
     f3 = sub.add_parser(
         "fig3", help="key rate versus modulation",
         description="CSV columns: protocol, eta, beta, v_a_db, v_a_snu, key_rate_bits.")
-    _add_common(f3)
-    _add_grid(f3)
-    f3.add_argument("--transmissions", type=float, nargs="*",
-                    help="channel transmittances for the squeezed series "
-                         "(default 0.098 0.25 0.5 0.75)")
+    _add_series(f3, "0.098 0.25 0.5 0.75")
     f3.add_argument("--beta", type=float, help="reconciliation efficiency (default 0.95)")
-    f3.add_argument("--vn", type=float, help="trusted electronic noise, SNU")
-    f3.add_argument("--dv", type=float, help="anti-squeezed excess variance, SNU")
     f3.set_defaults(func=cmd_fig3)
 
     f4 = sub.add_parser(
@@ -447,12 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "beta_star_asymptotic, one beta_star_n<N> column per finite "
                     "sample count, secure_flag (asymptotic).  The default grid "
                     "starts at the decoupling modulation.")
-    _add_common(f4)
-    _add_grid(f4)
+    _add_sweep(f4)
     f4.add_argument("--eta", type=float, help="channel transmittance (default 0.001)")
     f4.add_argument("--eps", type=float, nargs="*",
                     help="channel excess noise values, SNU (default 0 0.035)")
-    f4.add_argument("--vn", type=float, help="trusted electronic noise, SNU")
     f4.add_argument("--finite-n", type=float, nargs="*", dest="finite_n",
                     help="total exchanged-signal counts for finite-size thresholds "
                          "(default 1e10 1e11)")

@@ -68,6 +68,17 @@ def key_rate_finite(p: ProtocolParams, fp: FiniteSizeParams) -> float:
     return (fp.n_key / fp.n_total) * (key_rate_asymptotic(p) - delta_correction(fp))
 
 
+def _efficiency_threshold(chi_e: float, i_ab: float,
+                          fp: FiniteSizeParams | None = None) -> float:
+    """beta_threshold from a point's solved chi_E and I_AB; Delta is 0 when ``fp`` is None."""
+    if i_ab <= 0.0:
+        raise ThresholdUndefinedError(
+            "efficiency threshold undefined: Shannon information I_AB is zero"
+        )
+    penalty = delta_correction(fp) if fp is not None else 0.0
+    return (chi_e + penalty) / i_ab
+
+
 def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> float:
     """Smallest reconciliation efficiency giving a positive key rate.
 
@@ -75,23 +86,30 @@ def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> flo
     value above 1 means the protocol is insecure at any efficiency; when
     I_AB is zero the threshold is undefined and an error is raised.
     """
-    i_ab = mutual_information_ab(p)
-    if i_ab <= 0.0:
-        raise ThresholdUndefinedError(
-            "efficiency threshold undefined: Shannon information I_AB is zero"
-        )
-    penalty = delta_correction(fp) if fp is not None else 0.0
-    return (holevo_eb(p) + penalty) / i_ab
+    return _efficiency_threshold(holevo_eb(p), mutual_information_ab(p), fp)
+
+
+def _threshold_or_inf(chi_e: float, i_ab: float, fp: FiniteSizeParams | None) -> float:
+    try:
+        return _efficiency_threshold(chi_e, i_ab, fp)
+    except ThresholdUndefinedError:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class RegionPoint:
-    """One point of a security-region curve."""
+    """One point of a security-region curve, with the chi_E and I_AB behind it."""
 
     v_a: float
     v_a_db: float
     beta_star: float
     secure: bool
+    chi_e: float
+    i_ab: float
+
+    def beta_star_at(self, fp: FiniteSizeParams | None) -> float:
+        """Threshold at this point for another sample accounting; inf where undefined."""
+        return _threshold_or_inf(self.chi_e, self.i_ab, fp)
 
 
 def security_region(p_base: ProtocolParams, v_a_grid,
@@ -109,11 +127,9 @@ def security_region(p_base: ProtocolParams, v_a_grid,
     points = []
     for v_a in grid:
         params = replace(p_base, v_a=v_a)
-        try:
-            star = beta_threshold(params, fp)
-        except ThresholdUndefinedError:
-            star = math.inf
+        chi_e, i_ab = holevo_eb(params), mutual_information_ab(params)
+        star = _threshold_or_inf(chi_e, i_ab, fp)
         v_a_db = snu_to_db(v_a) if v_a > 0.0 else -math.inf
-        points.append(RegionPoint(v_a=v_a, v_a_db=v_a_db,
-                                  beta_star=star, secure=star < 1.0))
+        points.append(RegionPoint(v_a=v_a, v_a_db=v_a_db, beta_star=star,
+                                  secure=star < 1.0, chi_e=chi_e, i_ab=i_ab))
     return points

@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from sqzkd.cli import main
-from sqzkd.protocol import ProtocolParams, mutual_information_ab
+from sqzkd import cli, finite_size, protocol
+from sqzkd.cli import _db_grid, _format_cell, main
+from sqzkd.errors import ThresholdUndefinedError
+from sqzkd.finite_size import FiniteSizeParams, beta_threshold
+from sqzkd.gaussian import db_to_snu, snu_to_db
+from sqzkd.protocol import ProtocolParams, decoupling_modulation, mutual_information_ab
 
 REPORT_KEYS = ["i_ab", "chi_e", "key_rate", "c_eb", "c_ea",
                "i_eb_classical", "i_ea_classical", "qmi_eb"]
@@ -230,6 +234,114 @@ class TestFig4:
         table = read_csv(target)
         assert len(table) == 2 * 2 * 121
         assert min(float(r["v_a_db"]) for r in table) == -20.0
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of sqzkd functions under every module name bound to them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(protocol, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (protocol, finite_size, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _expected_threshold_cell(point, fp):
+    try:
+        return _format_cell(beta_threshold(point, fp))
+    except ThresholdUndefinedError:
+        return _format_cell(math.inf)
+
+
+class TestFig4OneSolvePerPoint:
+    FINITE = {"beta_star_asymptotic": None,
+              "beta_star_n1e10": FiniteSizeParams.from_total(1e10),
+              "beta_star_n1e11": FiniteSizeParams.from_total(1e11)}
+
+    def _check_cells(self, table, grid_db):
+        points = [ProtocolParams(v_r=v_r, v_a=db_to_snu(db), eta=0.001, epsilon=eps)
+                  for v_r in (0.5, 1.0) for eps in (0.0, 0.035) for db in grid_db]
+        assert len(table) == len(points)
+        for row, point in zip(table, points):
+            assert row["v_a_snu"] == _format_cell(point.v_a)
+            for column, fp in self.FINITE.items():
+                assert row[column] == _expected_threshold_cell(point, fp)
+
+    def test_default_sweep_solves_each_point_once(self, capsys, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, ("holevo_eb", "mutual_information_ab"))
+        target = tmp_path / "fig4.csv"
+        code, _, _ = run(capsys, "fig4", "--out", str(target))
+        assert code == 0
+        assert calls == {"holevo_eb": 212, "mutual_information_ab": 212}
+        monkeypatch.undo()
+        decoupling_db = snu_to_db(decoupling_modulation(0.5))
+        self._check_cells(read_csv(target), _db_grid(decoupling_db, 10.0, 0.25, decoupling_db))
+
+    def test_undefined_thresholds_are_inf(self, capsys, tmp_path):
+        target = tmp_path / "fig4.csv"
+        code, _, _ = run(capsys, "fig4", "--va-min-db", "-400", "--va-max-db", "-399",
+                         "--va-step-db", "1", "--out", str(target))
+        assert code == 0
+        table = read_csv(target)
+        assert {r[c] for r in table for c in self.FINITE} == {"inf"}
+        self._check_cells(table, [-400.0, -399.0])
+
+
+class TestFig4FiniteColumns:
+    GRID = ("--va-min-db", "0", "--va-max-db", "1", "--va-step-db", "1")
+
+    def test_distinct_totals_get_distinct_columns(self, capsys, tmp_path):
+        target = tmp_path / "fig4.csv"
+        code, _, _ = run(capsys, "fig4", *self.GRID, "--finite-n", "5", "1.5e10", "2e10",
+                         "--out", str(target))
+        assert code == 0
+        table = read_csv(target)
+        assert list(table[0]) == ["protocol", "epsilon", "v_a_db", "v_a_snu",
+                                  "beta_star_asymptotic", "beta_star_n5e0",
+                                  "beta_star_n1.5e10", "beta_star_n2e10", "secure_flag"]
+        assert all(float(r["beta_star_n1.5e10"]) > float(r["beta_star_n2e10"]) for r in table)
+
+    def test_repeated_total_rejected(self, capsys, tmp_path):
+        target = tmp_path / "fig4.csv"
+        code, _, err = run(capsys, "fig4", *self.GRID, "--finite-n", "1e10", "1e10",
+                           "--out", str(target))
+        assert code == 1
+        assert "more than once" in err
+        assert not target.exists()
+
+
+class TestModulationGrid:
+    def test_end_not_on_a_step_is_not_passed(self):
+        assert _db_grid(0.0, 1.0, 0.6) == [0.0, 0.6]
+
+    def test_end_on_a_step_is_kept_despite_rounding(self):
+        assert len(_db_grid(0.0, 0.3, 0.1)) == 4
+        assert _db_grid(-20.0, 10.0, 0.25)[-1] == 10.0
+
+    def test_sweep_stops_at_last_step_within_range(self, capsys, tmp_path):
+        target = tmp_path / "fig2.csv"
+        code, _, _ = run(capsys, "fig2", "--transmissions", "--va-min-db", "0",
+                         "--va-max-db", "1", "--va-step-db", "0.6", "--out", str(target))
+        assert code == 0
+        assert [float(r["v_a_db"]) for r in read_csv(target)] == [0.0, 0.6]
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("command", ["report", "emulate", "validate"])
+    def test_rejected_where_no_rows_are_emitted(self, capsys, tmp_path, command):
+        matrix = tmp_path / "vac.json"
+        matrix.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        extra = {"report": [], "validate": [str(matrix)],
+                 "emulate": ["--n-samples", "10", "--out", str(tmp_path / "run")]}[command]
+        code, out, _ = run(capsys, command, *extra, "--format", "csv")
+        assert code == 1
+        assert out == ""
 
 
 class TestEmulate:
