@@ -59,6 +59,8 @@ from .protocol import (
 
 COHERENT_REFERENCE_ETA = 0.58
 DEFAULT_SQUEEZING_SNU = 0.5
+# Largest modulation grid a sweep may ask for.
+MAX_GRID_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +156,18 @@ def _write_text(out_path: str | None, text: str) -> None:
 
 
 def _db_grid(min_db: float, max_db: float, step_db: float, insert: float | None = None) -> list[float]:
+    for flag, value in (("--va-min-db", min_db), ("--va-max-db", max_db),
+                        ("--va-step-db", step_db)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if step_db <= 0 or max_db < min_db:
         raise ValueError(f"invalid dB grid [{min_db}, {max_db}] step {step_db}")
     # The end is kept when the span is a whole number of steps up to rounding.
-    count = math.floor((max_db - min_db) / step_db + 1e-9)
+    steps = (max_db - min_db) / step_db + 1e-9
+    if not steps < MAX_GRID_POINTS:  # also true when the quotient overflows
+        raise ValueError(f"dB grid [{min_db}, {max_db}] step {step_db} has more than "
+                         f"{MAX_GRID_POINTS} points")
+    count = math.floor(steps)
     values = [min_db + k * step_db for k in range(count + 1)]
     if insert is not None and min_db <= insert <= max_db and insert not in values:
         values.append(insert)
@@ -290,6 +300,7 @@ def cmd_emulate(args, config) -> int:
         replace(cfg, seed=(cfg.seed + 1) % 2 ** 64),
     )
     normalized = normalize_to_shot_noise(batch, calibration)
+    del batch, calibration  # dead from here; freed before reconstruction allocates its copy
     recon = reconstruct_covariance(normalized)
 
     batch_path = f"{prefix}_samples.csv"

@@ -47,6 +47,9 @@ STATISTICAL_PHYSICALITY_TOL = 0.05
 # Quadrature indices of the reconstructed 6x6 matrix, modes ordered (A, B, E).
 XA, PA, XB, PB, XE, PE = range(6)
 
+# Records formatted by one ``%`` operation when writing the samples CSV.
+_CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class EmulationConfig:
@@ -108,8 +111,19 @@ class SampleBatch:
         return np.column_stack([getattr(self, name) for name in self.CSV_COLUMNS])
 
     def write_csv(self, path) -> None:
-        np.savetxt(path, self.columns(), fmt="%.12g", delimiter=",",
-                   header=",".join(self.CSV_COLUMNS), comments="")
+        """Write a header line, then one row of five ``%.12g`` values per record.
+
+        The bytes are those of ``np.savetxt(path, self.columns(), fmt="%.12g",
+        delimiter=",", header=..., comments="")`` with ``\\n`` line ends.  Rows
+        are formatted a block at a time, with one ``%`` per block.
+        """
+        columns = [getattr(self, name) for name in self.CSV_COLUMNS]
+        row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(",".join(self.CSV_COLUMNS) + "\n")
+            for start in range(0, self.n_samples, _CSV_BLOCK_ROWS):
+                block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+                fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

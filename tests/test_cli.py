@@ -332,6 +332,32 @@ class TestModulationGrid:
         assert [float(r["v_a_db"]) for r in read_csv(target)] == [0.0, 0.6]
 
 
+class TestModulationGridBounds:
+    @pytest.mark.parametrize("flag", ["--va-min-db", "--va-max-db", "--va-step-db"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_bound_names_its_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "fig2", f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
+    def test_point_limit(self):
+        assert len(_db_grid(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0)) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            _db_grid(0.0, float(cli.MAX_GRID_POINTS), 1.0)
+        with pytest.raises(ValueError, match="points"):
+            _db_grid(-1e308, 1e308, 1.0)  # the span overflows to inf
+
+    def test_grid_over_the_limit_rejected(self, capsys, monkeypatch):
+        # A lowered limit keeps the test small even where the limit is not enforced.
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+        code, out, err = run(capsys, "fig2", "--transmissions", "--va-min-db", "0",
+                             "--va-max-db", "10", "--va-step-db", "1")
+        assert code == 1
+        assert out == ""
+        assert "points" in err
+
+
 class TestFormatFlag:
     @pytest.mark.parametrize("command", ["report", "emulate", "validate"])
     def test_rejected_where_no_rows_are_emitted(self, capsys, tmp_path, command):

@@ -1,13 +1,16 @@
 """Tests for the Monte-Carlo emulation of the measured-data pipeline."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sqzkd.cli import main
 from sqzkd.emulator import (
     XB, XE, PA,
+    _CSV_BLOCK_ROWS,
     EmulationConfig,
     ReconstructedCM,
     SampleBatch,
@@ -287,3 +290,41 @@ class TestCsvExport:
         assert len(lines) == 51
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.allclose(loaded, batch.columns(), rtol=1e-11)
+
+    @staticmethod
+    def _savetxt_bytes(batch, path):
+        np.savetxt(path, batch.columns(), fmt="%.12g", delimiter=",",
+                   header=",".join(SampleBatch.CSV_COLUMNS), comments="")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("n", [2, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                   _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
+    def test_bytes_equal_savetxt_across_block_edges(self, tmp_path, n):
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=23))
+        path = tmp_path / "batch.csv"
+        batch.write_csv(path)
+        assert path.read_bytes() == self._savetxt_bytes(batch, tmp_path / "ref.csv")
+
+    def test_special_values_equal_savetxt(self, tmp_path):
+        values = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                           1.7e308, 1e-5, 123456789012.5, 0.1, -1.0])
+        batch = SampleBatch(x_a=values, x_b=values[::-1].copy(), p_b=np.roll(values, 3),
+                            x_e=-values, p_e=np.roll(values, 7), params=DECOUPLED,
+                            config=EmulationConfig(n_samples=values.size, seed=0))
+        path = tmp_path / "batch.csv"
+        batch.write_csv(path)
+        written = path.read_bytes()
+        assert written == self._savetxt_bytes(batch, tmp_path / "ref.csv")
+        assert written.split(b"\n")[1] == b"nan,-1,123456789012,nan,-0"
+
+    def test_pinned_bytes_of_emulate_samples(self, tmp_path, capsys):
+        # Fixes the Philox stream and the 12-significant-digit format across versions.
+        prefix = tmp_path / "pin"
+        code = main(["emulate", "--vr", "0.5", "--va", "2", "--eta", "0.58",
+                     "--n-samples", "40000", "--seed", "11", "--out", str(prefix)])
+        capsys.readouterr()
+        assert code == 0
+        written = (tmp_path / "pin_samples.csv").read_bytes()
+        assert len(written) == 3_005_080
+        assert hashlib.sha256(written).hexdigest() == \
+            "6ebdf04af51603ab19d46673832fb145de94d92d2658e1eb129b7d8611c963fc"
