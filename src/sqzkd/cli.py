@@ -1,22 +1,10 @@
 """Command-line front end: single-point reports, figure-style sweeps, emulation.
 
-Subcommands
------------
-report    security quantities for one parameter point (JSON)
-fig2      Holevo information versus modulation for several transmissions (CSV)
-fig3      key rate versus modulation for several transmissions (CSV)
-fig4      efficiency thresholds / secure regions versus modulation (CSV)
-emulate   run the sampling pipeline and compare data against the model
-validate  check a covariance-matrix JSON file against the uncertainty bound
-
-Exit codes: 0 success (secure / pass), 2 success but insecure / fail,
-1 any error.  All commands honor ``--config`` (JSON file supplying any flag;
-explicit flags win) and ``--seed``, and are bit-reproducible given the seed.
-
-Modulation axes are emitted in dB relative to shot noise alongside the
-linear value.  The default squeezing for the figure commands is exactly
-0.5 SNU (-3.0103 dB) so that the decoupling zero is exact; the exact
-decoupling modulation is inserted into default sweep grids.
+Subcommands are listed by ``sqzkd --help``; README "Command line" has the
+exit codes and output formats.  argparse resolves every input: a flag's
+default is stated once, in its ``add_argument``, and ``--config`` turns the
+values of a JSON file into the chosen command's defaults before a second
+parse, so explicit flags win.  ``vars(args)`` is the resolved configuration.
 """
 
 from __future__ import annotations
@@ -49,16 +37,13 @@ from .gaussian import (
     snu_to_db,
     symplectic_eigenvalues,
 )
-from .protocol import (
-    ProtocolParams,
-    decoupling_modulation,
-    holevo_eb,
-    key_rate_asymptotic,
-    security_report,
-)
+from .protocol import ProtocolParams, decoupling_modulation, security_report
 
 COHERENT_REFERENCE_ETA = 0.58
 DEFAULT_SQUEEZING_SNU = 0.5
+DEFAULT_BETA = 0.95
+# Start of the fig2/fig3 modulation grids, and of fig4's for a coherent source.
+GRID_START_DB = -20.0
 # Largest modulation grid a sweep may ask for.
 MAX_GRID_POINTS = 1_000_000
 
@@ -66,59 +51,95 @@ MAX_GRID_POINTS = 1_000_000
 # ---------------------------------------------------------------------------
 # option plumbing
 
-def _load_config(argv: list[str]) -> dict:
-    """Pre-scan argv for --config and load the JSON flag defaults."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return config
+def _snu_from_db(text) -> float:
+    """Type of the dB flags: the linear variance of a level in dB."""
+    try:
+        return db_to_snu(float(text))
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid dB value: {text!r}") from None
 
 
-def _get(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _resolve_variance(args, config, lin_name: str, db_name: str, default_lin: float) -> float:
-    """Resolve a --x / --x-db flag pair; explicit flags beat the config file."""
-    lin = getattr(args, lin_name, None)
-    db = getattr(args, db_name, None)
-    if lin is not None:
-        return float(lin)
-    if db is not None:
-        return db_to_snu(float(db))
-    if lin_name in config:
-        return float(config[lin_name])
-    if db_name in config:
-        return db_to_snu(float(config[db_name]))
-    return default_lin
+def _config_value(key: str, raw, action: argparse.Action):
+    """A config file's ``raw`` value converted as its flag converts command-line text."""
+    if action.nargs == 0:
+        expected, ok = "true or false", isinstance(raw, bool)
+    elif action.type is None:
+        expected = "a string" if action.choices is None else " or ".join(map(json.dumps, action.choices))
+        ok = isinstance(raw, str) and (action.choices is None or raw in action.choices)
+    elif action.nargs == "*":
+        expected, ok = "a list of numbers", isinstance(raw, list) and all(map(_is_number, raw))
+    else:
+        expected, ok = "a number", _is_number(raw)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(raw)}")
+    try:
+        if action.nargs == "*":
+            return [action.type(item) for item in raw]
+        return raw if action.type is None else action.type(raw)
+    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
-def _protocol_from(args, config) -> ProtocolParams:
-    v_r = _resolve_variance(args, config, "vr", "vr_db", DEFAULT_SQUEEZING_SNU)
-    v_a = _resolve_variance(args, config, "va", "va_db", decoupling_modulation(min(v_r, 1.0)))
-    return ProtocolParams(
-        v_r=v_r,
-        v_a=v_a,
-        eta=float(_get(args, config, "eta", 1.0)),
-        delta_v=float(_get(args, config, "dv", 0.0)),
-        epsilon=float(_get(args, config, "eps", 0.0)),
-        v_n=float(_get(args, config, "vn", 0.0)),
-        beta=float(_get(args, config, "beta", 0.95)),
-    )
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; ``options`` maps each config key to its flag.
+
+    The key of ``--va-min-db`` is ``va_min_db``.  The dB twin of a linear flag
+    keeps its own key (``vr_db``) but writes the linear flag's dest.  A flag
+    with a default shows it in its help.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+        del self.options["help"]  # ArgumentParser adds -h itself; it is no config key
+
+    def add_argument(self, *args, **kwargs):
+        return self._keep(super().add_argument(*args, **kwargs))
+
+    def _keep(self, action: argparse.Action) -> argparse.Action:
+        if action.option_strings:
+            self.options[action.option_strings[-1][2:].replace("-", "_")] = action
+            if action.default not in (None, argparse.SUPPRESS) and action.nargs != 0:
+                action.help += " (default %(default)s)"
+        return action
+
+    def add_pair(self, name: str, default: float | None, help: str) -> None:
+        """Exclusive ``--<name>`` (SNU) and ``--<name>-db`` flags, both writing ``args.<name>``."""
+        group = self.add_mutually_exclusive_group()
+        self._keep(group.add_argument(f"--{name}", type=float, default=default, help=help))
+        self._keep(group.add_argument(f"--{name}-db", type=_snu_from_db, dest=name,
+                                      default=argparse.SUPPRESS, metavar=f"{name.upper()}_DB",
+                                      help=f"as --{name}, in dB relative to shot noise"))
+
+    def set_config(self, path: str) -> None:
+        """Make the values of a JSON config file this command's defaults.
+
+        Keys that are not this command's flags are ignored, and a linear key
+        beats its dB twin.  A value of the wrong JSON type raises ValueError.
+        """
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        values = {}
+        for key, raw in config.items():
+            action = self.options.get(key)
+            if action is None or key == "config":
+                continue
+            value = _config_value(key, raw, action)
+            if key == action.dest or action.dest not in values:
+                values[action.dest] = value
+        self.set_defaults(**values)
+
+
+def _protocol_from(args) -> ProtocolParams:
+    v_a = args.va if args.va is not None else decoupling_modulation(min(args.vr, 1.0))
+    return ProtocolParams(v_r=args.vr, v_a=v_a, eta=args.eta, delta_v=args.dv,
+                          epsilon=args.eps, v_n=args.vn, beta=args.beta)
 
 
 def _format_cell(value) -> str:
@@ -174,63 +195,59 @@ def _db_grid(min_db: float, max_db: float, step_db: float, insert: float | None 
     return sorted(values)
 
 
-def _grid_from_args(args, config, v_r: float, from_decoupling: bool = False) -> list[float]:
-    """Modulation grid in dB holding the exact decoupling point of ``v_r``.
+def _sweep(args, series, columns: list[str], cells) -> int:
+    """Emit one row per modulation-grid point of each ``(labels, base params)`` series.
 
-    A coherent source has decoupling modulation 0: nothing is inserted, and a
-    grid asked to start at the decoupling point starts at -20 dB instead.
+    The dB grid holds the exact decoupling point of ``--squeezing``, and an
+    unset ``--va-min-db`` (fig4) starts it there.  A coherent source has
+    decoupling modulation 0: nothing is inserted, and such a grid starts at
+    GRID_START_DB instead.  Each series is solved by one ``security_region``
+    call; ``cells`` maps a RegionPoint to the command's value columns.
     """
-    decoupling_v_a = decoupling_modulation(v_r)
+    decoupling_v_a = decoupling_modulation(args.squeezing)
     insert = snu_to_db(decoupling_v_a) if decoupling_v_a > 0.0 else None
-    default_min = insert if from_decoupling and insert is not None else -20.0
-    lo = float(_get(args, config, "va_min_db", default_min))
-    hi = float(_get(args, config, "va_max_db", 10.0))
-    step = float(_get(args, config, "va_step_db", 0.25))
-    return _db_grid(lo, hi, step, insert)
+    lo = args.va_min_db
+    if lo is None:
+        lo = GRID_START_DB if insert is None else insert
+    grid = _db_grid(lo, args.va_max_db, args.va_step_db, insert)
+    v_a_grid = [db_to_snu(db) for db in grid]
+    rows = [{**labels, "v_a_db": db, "v_a_snu": point.v_a, **cells(point)}
+            for labels, base in series
+            for db, point in zip(grid, security_region(base, v_a_grid))]
+    _emit_rows(rows, columns, args.format, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_report(args, config) -> int:
-    params = _protocol_from(args, config)
-    report = security_report(params)
-    _write_text(_get(args, config, "out", None), report.to_json() + "\n")
+def cmd_report(args) -> int:
+    report = security_report(_protocol_from(args))
+    _write_text(args.out, report.to_json() + "\n")
     return 0 if report.key_rate > 0.0 else 2
 
 
-def _modulation_sweep(args, config, default_transmissions: list[float], column: str,
-                      quantity, beta: float | None = None) -> int:
+def _modulation_sweep(args, column: str, value, fixed: dict) -> int:
     """fig2/fig3 rows: the coherent reference plus one squeezed series per transmission."""
-    v_r = _resolve_variance(args, config, "squeezing", "squeezing_db", DEFAULT_SQUEEZING_SNU)
-    transmissions = _get(args, config, "transmissions", default_transmissions)
-    grid = _grid_from_args(args, config, v_r)
-    v_n = float(_get(args, config, "vn", 0.0))
-    dv = float(_get(args, config, "dv", 0.0))
-    fixed = {} if beta is None else {"beta": beta}
-
-    rows = []
     series = [("coherent", 1.0, COHERENT_REFERENCE_ETA, 0.0)]
-    series += [("squeezed", v_r, float(eta), dv) for eta in transmissions]
-    for name, vr, eta, delta_v in series:
-        base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, **fixed)
-        for v_a_db in grid:
-            point = replace(base, v_a=db_to_snu(v_a_db))
-            rows.append({"protocol": name, "eta": eta, **fixed,
-                         "v_a_db": v_a_db, "v_a_snu": point.v_a, column: quantity(point)})
-    _emit_rows(rows, ["protocol", "eta", *fixed, "v_a_db", "v_a_snu", column],
-               _get(args, config, "format", "csv"), _get(args, config, "out", None))
-    return 0
+    series += [("squeezed", args.squeezing, eta, args.dv) for eta in args.transmissions]
+    return _sweep(args,
+                  (({"protocol": name, "eta": eta, **fixed},
+                    ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=dv, v_n=args.vn, **fixed))
+                   for name, v_r, eta, dv in series),
+                  ["protocol", "eta", *fixed, "v_a_db", "v_a_snu", column],
+                  lambda point: {column: value(point)})
 
 
-def cmd_fig2(args, config) -> int:
-    return _modulation_sweep(args, config, [0.098, 0.58, 0.9], "chi_e_bits", holevo_eb)
+def cmd_fig2(args) -> int:
+    return _modulation_sweep(args, "chi_e_bits", lambda point: point.chi_e, {})
 
 
-def cmd_fig3(args, config) -> int:
-    beta = float(_get(args, config, "beta", 0.95))
-    return _modulation_sweep(args, config, [0.098, 0.25, 0.5, 0.75], "key_rate_bits",
-                             key_rate_asymptotic, beta)
+def cmd_fig3(args) -> int:
+    # beta * I_AB - chi_E, as key_rate_asymptotic computes it
+    return _modulation_sweep(args, "key_rate_bits",
+                             lambda point: args.beta * point.i_ab - point.chi_e,
+                             {"beta": args.beta})
 
 
 def _finite_column(n_total: float) -> str:
@@ -242,57 +259,35 @@ def _finite_column(n_total: float) -> str:
     return "beta_star_n" + text.replace("e+", "e").replace("e0", "e")
 
 
-def cmd_fig4(args, config) -> int:
-    v_r = _resolve_variance(args, config, "squeezing", "squeezing_db", DEFAULT_SQUEEZING_SNU)
-    eta = float(_get(args, config, "eta", 0.001))
-    epsilons = [float(e) for e in _get(args, config, "eps", [0.0, 0.035])]
-    finite_ns = [float(n) for n in _get(args, config, "finite_n", [1e10, 1e11])]
-    eps_smooth = float(_get(args, config, "eps_smooth", 1e-10))
-    eps_pa = float(_get(args, config, "eps_pa", 1e-10))
-    v_n = float(_get(args, config, "vn", 0.0))
-    # Sweeps start at the decoupling modulation: smaller alphabets are
-    # strictly dominated for the squeezed protocol (see README).
-    grid = _grid_from_args(args, config, v_r, from_decoupling=True)
-    v_a_grid = [db_to_snu(db) for db in grid]
-
+def cmd_fig4(args) -> int:
     finite_columns = {}
-    n_key = _get(args, config, "n_key", None)
-    for n_total in finite_ns:
-        fp = FiniteSizeParams.from_total(n_total, eps_smooth=eps_smooth, eps_pa=eps_pa)
-        if n_key is not None:
-            fp = replace(fp, n_key=float(n_key))
+    for n_total in args.finite_n:
+        fp = FiniteSizeParams.from_total(n_total, eps_smooth=args.eps_smooth, eps_pa=args.eps_pa)
+        if args.n_key is not None:
+            fp = replace(fp, n_key=args.n_key)
         column = _finite_column(n_total)
         if column in finite_columns:
             raise ValueError(f"finite-size total {n_total:g} is given more than once")
         finite_columns[column] = fp
 
-    rows = []
-    for name, vr in (("squeezed", v_r), ("coherent", 1.0)):
-        for epsilon in epsilons:
-            base = ProtocolParams(v_r=vr, v_a=1.0, eta=eta, epsilon=epsilon, v_n=v_n)
-            for db, point in zip(grid, security_region(base, v_a_grid)):
-                rows.append({"protocol": name, "epsilon": epsilon, "v_a_db": db,
-                             "v_a_snu": point.v_a, "beta_star_asymptotic": point.beta_star,
-                             **{c: point.beta_star_at(fp) for c, fp in finite_columns.items()},
-                             "secure_flag": point.secure})
-    columns = ["protocol", "epsilon", "v_a_db", "v_a_snu", "beta_star_asymptotic",
-               *finite_columns, "secure_flag"]
-    _emit_rows(rows, columns, _get(args, config, "format", "csv"),
-               _get(args, config, "out", None))
-    return 0
+    return _sweep(args,
+                  (({"protocol": name, "epsilon": epsilon},
+                    ProtocolParams(v_r=v_r, v_a=1.0, eta=args.eta, epsilon=epsilon, v_n=args.vn))
+                   for name, v_r in (("squeezed", args.squeezing), ("coherent", 1.0))
+                   for epsilon in args.eps),
+                  ["protocol", "epsilon", "v_a_db", "v_a_snu", "beta_star_asymptotic",
+                   *finite_columns, "secure_flag"],
+                  lambda point: {"beta_star_asymptotic": point.beta_star,
+                                 **{c: point.beta_star_at(fp) for c, fp in finite_columns.items()},
+                                 "secure_flag": point.secure})
 
 
-def cmd_emulate(args, config) -> int:
-    params = _protocol_from(args, config)
-    cfg = EmulationConfig(
-        n_samples=int(_get(args, config, "n_samples", 100000)),
-        seed=int(_get(args, config, "seed", 0)),
-        eta_bob_det=float(_get(args, config, "eta_bob_det", 0.85)),
-        eta_eve_det=float(_get(args, config, "eta_eve_det", 0.95)),
-        alice_p_placeholder=float(_get(args, config, "alice_p_placeholder", 100.0)),
-        ideal_detectors=bool(_get(args, config, "ideal_detectors", False)),
-    )
-    prefix = _get(args, config, "out", "emulation")
+def cmd_emulate(args) -> int:
+    params = _protocol_from(args)
+    cfg = EmulationConfig(n_samples=args.n_samples, seed=args.seed,
+                          eta_bob_det=args.eta_bob_det, eta_eve_det=args.eta_eve_det,
+                          alice_p_placeholder=args.alice_p_placeholder,
+                          ideal_detectors=args.ideal_detectors)
 
     batch = generate_samples(params, cfg)
     calibration = generate_samples(
@@ -303,9 +298,9 @@ def cmd_emulate(args, config) -> int:
     del batch, calibration  # dead from here; freed before reconstruction allocates its copy
     recon = reconstruct_covariance(normalized)
 
-    batch_path = f"{prefix}_samples.csv"
-    recon_path = f"{prefix}_reconstruction.json"
-    report_path = f"{prefix}_report.json"
+    batch_path = f"{args.out}_samples.csv"
+    recon_path = f"{args.out}_reconstruction.json"
+    report_path = f"{args.out}_report.json"
     normalized.write_csv(batch_path)
     with open(recon_path, "w", encoding="utf-8") as fh:
         json.dump(recon.to_json_dict(), fh, indent=2)
@@ -342,7 +337,7 @@ def cmd_emulate(args, config) -> int:
     return 0
 
 
-def cmd_validate(args, config) -> int:
+def cmd_validate(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if isinstance(payload, dict):
@@ -352,69 +347,69 @@ def cmd_validate(args, config) -> int:
     else:
         raw = payload
     cm = CovarianceMatrix(np.asarray(raw, dtype=float))
-    tol = float(_get(args, config, "tol", PHYSICALITY_TOL))
     nus = symplectic_eigenvalues(cm)
     lines = [f"nu_{k + 1} = {nu:.12g}" for k, nu in enumerate(nus)]
-    ok = min(nus) >= 1.0 - tol
+    ok = min(nus) >= 1.0 - args.tol
     lines.append(f"{'PASS' if ok else 'FAIL'}: minimal symplectic eigenvalue "
-                 f"{min(nus):.12g} vs bound {1.0 - tol:.12g}")
-    _write_text(_get(args, config, "out", None), "\n".join(lines) + "\n")
+                 f"{min(nus):.12g} vs bound {1.0 - args.tol:.12g}")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file supplying any flag; explicit flags win")
-    parser.add_argument("--out", help="output path (default: standard output)")
-    parser.add_argument("--seed", type=int, help="random seed; output is bit-reproducible given it")
+def _add_common(parser: _CommandParser, out_default: str | None = None,
+                out_help: str = "output path (default: standard output)") -> None:
+    parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
+    parser.add_argument("--out", default=out_default, help=out_help)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="random seed; output is bit-reproducible given it")
 
 
-def _add_protocol(parser: argparse.ArgumentParser) -> None:
-    group_r = parser.add_mutually_exclusive_group()
-    group_r.add_argument("--vr", type=float, help="squeezed-quadrature variance in SNU")
-    group_r.add_argument("--vr-db", type=float, dest="vr_db",
-                         help="squeezed-quadrature variance in dB relative to shot noise")
-    group_a = parser.add_mutually_exclusive_group()
-    group_a.add_argument("--va", type=float, help="modulation variance in SNU")
-    group_a.add_argument("--va-db", type=float, dest="va_db", help="modulation variance in dB")
-    parser.add_argument("--dv", type=float, help="anti-squeezed excess variance in SNU")
-    parser.add_argument("--eta", type=float, help="channel transmittance in (0, 1]")
-    parser.add_argument("--eps", type=float, help="channel excess noise in SNU (input-referred)")
-    parser.add_argument("--vn", type=float, help="trusted electronic noise of the receiver in SNU")
-    parser.add_argument("--beta", type=float, help="reconciliation efficiency in (0, 1]")
+def _add_protocol(parser: _CommandParser) -> None:
+    parser.add_pair("vr", DEFAULT_SQUEEZING_SNU, "squeezed-quadrature variance in SNU")
+    parser.add_pair("va", None, "modulation variance in SNU "
+                                "(default: the decoupling modulation 1 - vr)")
+    parser.add_argument("--dv", type=float, default=ProtocolParams.delta_v,
+                        help="anti-squeezed excess variance in SNU")
+    parser.add_argument("--eta", type=float, default=1.0, help="channel transmittance in (0, 1]")
+    parser.add_argument("--eps", type=float, default=ProtocolParams.epsilon,
+                        help="channel excess noise in SNU, input-referred")
+    parser.add_argument("--vn", type=float, default=ProtocolParams.v_n,
+                        help="trusted electronic noise of the receiver in SNU")
+    parser.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                        help="reconciliation efficiency in (0, 1]")
 
 
-def _add_sweep(parser: argparse.ArgumentParser) -> None:
+def _add_sweep(parser: _CommandParser, va_min_default: float | None = GRID_START_DB,
+               va_min_help: str = "modulation grid start, dB") -> None:
     _add_common(parser)
-    parser.add_argument("--format", choices=("csv", "json"), dest="format",
-                        help="tabular output format (default csv)")
-    parser.add_argument("--va-min-db", type=float, dest="va_min_db", help="modulation grid start, dB")
-    parser.add_argument("--va-max-db", type=float, dest="va_max_db", help="modulation grid end, dB")
-    parser.add_argument("--va-step-db", type=float, dest="va_step_db",
-                        help="modulation grid step, dB (default 0.25)")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--squeezing", type=float, help="squeezed variance for the sweep, SNU (default 0.5)")
-    group.add_argument("--squeezing-db", type=float, dest="squeezing_db",
-                       help="squeezed variance for the sweep, dB")
-    parser.add_argument("--vn", type=float, help="trusted electronic noise, SNU")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="tabular output format")
+    parser.add_argument("--va-min-db", type=float, default=va_min_default, help=va_min_help)
+    parser.add_argument("--va-max-db", type=float, default=10.0, help="modulation grid end, dB")
+    parser.add_argument("--va-step-db", type=float, default=0.25, help="modulation grid step, dB")
+    parser.add_pair("squeezing", DEFAULT_SQUEEZING_SNU, "squeezed variance for the sweep in SNU")
+    parser.add_argument("--vn", type=float, default=ProtocolParams.v_n,
+                        help="trusted electronic noise, SNU")
 
 
-def _add_series(parser: argparse.ArgumentParser, default_transmissions: str) -> None:
+def _add_series(parser: _CommandParser, transmissions: list[float]) -> None:
     _add_sweep(parser)
-    parser.add_argument("--transmissions", type=float, nargs="*",
-                        help="channel transmittances for the squeezed series "
-                             f"(default {default_transmissions})")
-    parser.add_argument("--dv", type=float, help="anti-squeezed excess variance, SNU")
+    parser.add_argument("--transmissions", type=float, nargs="*", default=transmissions,
+                        help="channel transmittances for the squeezed series")
+    parser.add_argument("--dv", type=float, default=ProtocolParams.delta_v,
+                        help="anti-squeezed excess variance, SNU")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The top-level parser, and the subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="sqzkd",
         description="Security analysis for the single-quadrature squeezed-state protocol.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
 
     rep = sub.add_parser("report", help="security report for one parameter point (JSON)")
     _add_common(rep)
@@ -426,53 +421,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSV columns: protocol, eta, v_a_db, v_a_snu, chi_e_bits. "
                     "Emits a coherent reference series at 58%% transmission plus one "
                     "squeezed series per requested transmission.")
-    _add_series(f2, "0.098 0.58 0.9")
+    _add_series(f2, [0.098, 0.58, 0.9])
     f2.set_defaults(func=cmd_fig2)
 
     f3 = sub.add_parser(
         "fig3", help="key rate versus modulation",
         description="CSV columns: protocol, eta, beta, v_a_db, v_a_snu, key_rate_bits.")
-    _add_series(f3, "0.098 0.25 0.5 0.75")
-    f3.add_argument("--beta", type=float, help="reconciliation efficiency (default 0.95)")
+    _add_series(f3, [0.098, 0.25, 0.5, 0.75])
+    f3.add_argument("--beta", type=float, default=DEFAULT_BETA, help="reconciliation efficiency")
     f3.set_defaults(func=cmd_fig3)
 
     f4 = sub.add_parser(
         "fig4", help="efficiency thresholds / secure regions versus modulation",
         description="CSV columns: protocol, epsilon, v_a_db, v_a_snu, "
                     "beta_star_asymptotic, one beta_star_n<N> column per finite "
-                    "sample count, secure_flag (asymptotic).  The default grid "
-                    "starts at the decoupling modulation.")
-    _add_sweep(f4)
-    f4.add_argument("--eta", type=float, help="channel transmittance (default 0.001)")
-    f4.add_argument("--eps", type=float, nargs="*",
-                    help="channel excess noise values, SNU (default 0 0.035)")
-    f4.add_argument("--finite-n", type=float, nargs="*", dest="finite_n",
-                    help="total exchanged-signal counts for finite-size thresholds "
-                         "(default 1e10 1e11)")
-    f4.add_argument("--n-key", type=float, dest="n_key",
+                    "sample count, secure_flag (asymptotic).")
+    # Sweeps start at the decoupling modulation: smaller alphabets are
+    # strictly dominated for the squeezed protocol (see README).
+    _add_sweep(f4, None, "modulation grid start, dB (default: the decoupling modulation, "
+                         f"or {GRID_START_DB:g} for a coherent source)")
+    f4.add_argument("--eta", type=float, default=0.001, help="channel transmittance")
+    f4.add_argument("--eps", type=float, nargs="*", default=[0.0, 0.035],
+                    help="channel excess noise values, SNU")
+    f4.add_argument("--finite-n", type=float, nargs="*", default=[1e10, 1e11],
+                    help="total exchanged-signal counts for finite-size thresholds")
+    f4.add_argument("--n-key", type=float,
                     help="signals kept for the key (default: half of each total)")
-    f4.add_argument("--eps-smooth", type=float, dest="eps_smooth",
-                    help="smoothing parameter (default 1e-10)")
-    f4.add_argument("--eps-pa", type=float, dest="eps_pa",
-                    help="privacy-amplification failure probability (default 1e-10)")
+    f4.add_argument("--eps-smooth", type=float, default=FiniteSizeParams.eps_smooth,
+                    help="smoothing parameter")
+    f4.add_argument("--eps-pa", type=float, default=FiniteSizeParams.eps_pa,
+                    help="privacy-amplification failure probability")
     f4.set_defaults(func=cmd_fig4)
 
     emu = sub.add_parser(
         "emulate", help="run the sampling pipeline and compare data against the model",
         description="Writes <out>_samples.csv, <out>_reconstruction.json and "
                     "<out>_report.json, and prints an entry-wise sigma-distance table.")
-    _add_common(emu)
+    _add_common(emu, "emulation", "prefix of the output files")
     _add_protocol(emu)
-    emu.add_argument("--n-samples", type=int, dest="n_samples",
-                     help="number of records to draw (default 100000)")
-    emu.add_argument("--eta-bob-det", type=float, dest="eta_bob_det",
-                     help="receiver homodyne efficiency (default 0.85)")
-    emu.add_argument("--eta-eve-det", type=float, dest="eta_eve_det",
-                     help="eavesdropper homodyne efficiency (default 0.95)")
-    emu.add_argument("--alice-p-placeholder", type=float, dest="alice_p_placeholder",
-                     help="placeholder variance for the sender's phase row (default 100)")
-    emu.add_argument("--ideal-detectors", action="store_const", const=True,
-                     dest="ideal_detectors", help="disable detector imperfections")
+    emu.add_argument("--n-samples", type=int, default=100000, help="number of records to draw")
+    emu.add_argument("--eta-bob-det", type=float, default=EmulationConfig.eta_bob_det,
+                     help="receiver homodyne efficiency")
+    emu.add_argument("--eta-eve-det", type=float, default=EmulationConfig.eta_eve_det,
+                     help="eavesdropper homodyne efficiency")
+    emu.add_argument("--alice-p-placeholder", type=float,
+                     default=EmulationConfig.alice_p_placeholder,
+                     help="placeholder variance for the sender's phase row")
+    emu.add_argument("--ideal-detectors", action="store_true",
+                     help="disable detector imperfections")
     emu.set_defaults(func=cmd_emulate)
 
     val = sub.add_parser(
@@ -482,31 +478,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "pass/fail against the uncertainty bound.")
     _add_common(val)
     val.add_argument("matrix", help="path to the covariance-matrix JSON file")
-    val.add_argument("--tol", type=float,
-                     help="allowed undershoot of the bound (default 1e-9; "
-                          "use 0.05 for statistically reconstructed matrices)")
+    val.add_argument("--tol", type=float, default=PHYSICALITY_TOL,
+                     help="allowed undershoot of the bound; use 0.05 for statistically "
+                          "reconstructed matrices")
     val.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    try:
-        config = _load_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is not None and args.config is not None:
+            commands[args.command].set_config(args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 1
-    if getattr(args, "command", None) is None:
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.command is None:
         parser.print_help()
         return 1
     try:
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,8 +171,11 @@ def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> f
     """
     spectrum = symplectic_eigenvalues(cm)
     if spectrum[-1] < 1.0 - tol:
+        # 12 significant digits, or more where needed to show the gap to the bound
+        shown = next(text for digits in range(12, 18)
+                     if float(text := f"{spectrum[-1]:.{digits}g}") < 1.0 - tol)
         raise UnphysicalStateError(
-            f"symplectic eigenvalue {spectrum[-1]:.6g} is below 1 beyond the tolerance {tol}"
+            f"symplectic eigenvalue {shown} is below 1 beyond the tolerance {tol}"
         )
     return sum(entropy_g(max(nu, 1.0)) for nu in spectrum)
 

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,3 +456,196 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+# Values a config file may give each flag; every one differs from its default.
+COMMON_VALUES = {"out": "result", "seed": 3}
+PROTOCOL_VALUES = {"vr": 0.4, "vr_db": -4.0, "va": 0.7, "va_db": -2.0, "dv": 0.1, "eta": 0.6,
+                   "eps": 0.01, "vn": 0.05, "beta": 0.9}
+SWEEP_VALUES = {"format": "json", "va_min_db": -4.0, "va_max_db": -1.0, "va_step_db": 0.5,
+                "squeezing": 0.4, "squeezing_db": -4.0, "vn": 0.05}
+SERIES_VALUES = {**SWEEP_VALUES, "transmissions": [0.3, 0.6], "dv": 0.1}
+FLAG_VALUES = {
+    "report": {**COMMON_VALUES, **PROTOCOL_VALUES},
+    "fig2": {**COMMON_VALUES, **SERIES_VALUES},
+    "fig3": {**COMMON_VALUES, **SERIES_VALUES, "beta": 0.9},
+    "fig4": {**COMMON_VALUES, **SWEEP_VALUES, "eta": 0.01, "eps": [0.0, 0.01],
+             "finite_n": [1e9], "n_key": 1e8, "eps_smooth": 1e-9, "eps_pa": 1e-8},
+    "emulate": {**COMMON_VALUES, **PROTOCOL_VALUES, "n_samples": 300, "eta_bob_det": 0.9,
+                "eta_eve_det": 0.8, "alice_p_placeholder": 50.0, "ideal_detectors": True},
+    "validate": {**COMMON_VALUES, "tol": 0.05},
+}
+# Explicit flags of every run: small grids and samples, and a lossy channel so
+# that excess noise is allowed.  A flag under test is left out of them.
+BASE_FLAGS = {"report": {"eta": 0.5},
+              "fig2": {"va_min_db": -3.0, "va_max_db": -2.0, "va_step_db": 1.0,
+                       "transmissions": [0.5]},
+              "fig4": {"va_min_db": -3.0, "va_max_db": -2.0, "va_step_db": 1.0,
+                       "finite_n": [1e10]},
+              "emulate": {"n_samples": 200, "eta": 0.5}}
+BASE_FLAGS["fig3"] = BASE_FLAGS["fig2"]
+
+
+def flag_argv(key, value):
+    """Command-line tokens giving ``value`` to the flag whose config key is ``key``."""
+    flag = "--" + key.replace("_", "-")
+    if value is True:
+        return [flag]
+    if isinstance(value, list):
+        return [flag, *map(repr, value)]
+    return [flag, value if isinstance(value, str) else repr(value)]
+
+
+def write_config(path, config):
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+class TestConfigParity:
+    @pytest.fixture
+    def matrix(self, tmp_path):
+        path = tmp_path / "vac.json"
+        path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        return str(path)
+
+    def outputs(self, capsys, monkeypatch, workdir, argv):
+        """Exit code, standard output and the files a run leaves in ``workdir``."""
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, out, _ = run(capsys, *argv)
+        return code, out, {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+    def test_every_flag_has_a_value(self):
+        commands = cli.build_parser()[1]
+        assert set(commands) == set(FLAG_VALUES)
+        for name, parser in commands.items():
+            assert set(parser.options) - {"config"} == set(FLAG_VALUES[name])
+
+    @pytest.mark.parametrize("command,key", [(c, k) for c, values in FLAG_VALUES.items()
+                                             for k in values])
+    def test_config_value_equals_flag(self, capsys, monkeypatch, tmp_path, matrix, command, key):
+        value = FLAG_VALUES[command][key]
+        base = [command] + ([matrix] if command == "validate" else [])
+        for other, fixed in BASE_FLAGS.get(command, {}).items():
+            if other != key:
+                base += flag_argv(other, fixed)
+        config = write_config(tmp_path / "cfg.json", {key: value})
+        by_config = self.outputs(capsys, monkeypatch, tmp_path / "config",
+                                 base + ["--config", config])
+        by_flag = self.outputs(capsys, monkeypatch, tmp_path / "flag",
+                               base + flag_argv(key, value))
+        assert by_config == by_flag
+        assert by_config[0] in (0, 2)
+
+
+class TestConfigPrecedence:
+    POINT = ["--va", "0.5", "--eta", "0.5"]
+
+    def report(self, capsys, *argv):
+        code, out, err = run(capsys, "report", *argv)
+        assert code in (0, 2), err
+        return out
+
+    def test_explicit_db_flag_beats_config_linear(self, capsys, tmp_path):
+        config = write_config(tmp_path / "cfg.json", {"vr": 0.25})
+        out = self.report(capsys, "--config", config, "--vr-db", "-3", *self.POINT)
+        assert out == self.report(capsys, "--vr-db", "-3", *self.POINT)
+        assert out != self.report(capsys, "--vr", "0.25", *self.POINT)
+
+    @pytest.mark.parametrize("config", [{"vr": 0.4, "vr_db": -6.0}, {"vr_db": -6.0, "vr": 0.4}])
+    def test_config_linear_beats_config_db(self, capsys, tmp_path, config):
+        path = write_config(tmp_path / "cfg.json", config)
+        out = self.report(capsys, "--config", path, *self.POINT)
+        assert out == self.report(capsys, "--vr", "0.4", *self.POINT)
+
+    def test_keys_of_other_commands_are_ignored(self, capsys, tmp_path):
+        config = write_config(tmp_path / "cfg.json", {
+            "transmissions": [0.5], "n_samples": 10, "tol": 1.0, "format": "json",
+            "finite_n": 3, "matrix": 5, "func": "cmd_fig2", "command": "fig2",
+            "config": ["/nonexistent/cfg.json"]})
+        assert self.report(capsys, "--config", config) == self.report(capsys)
+
+
+class TestConfigShape:
+    @pytest.mark.parametrize("command,key,value", [
+        ("fig4", "eps", 0.035),
+        ("fig2", "transmissions", 0.5),
+        ("report", "eta", [0.5]),
+        ("report", "eta", None),
+        ("report", "vr_db", "-3"),
+        ("fig2", "format", "xml"),
+        ("emulate", "ideal_detectors", "yes"),
+        ("report", "va_db", 4000),
+    ])
+    def test_wrong_value_names_its_key(self, capsys, tmp_path, command, key, value):
+        path = write_config(tmp_path / "cfg.json", {key: value})
+        code, out, err = run(capsys, command, "--config", path,
+                             "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and repr(key) in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_db_flag_out_of_range(self, capsys):
+        code, out, err = run(capsys, "report", "--va-db", "4000")
+        assert code == 1
+        assert out == ""
+        assert "--va-db" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(FLAG_VALUES))
+    def test_defaults_shown(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        parser = cli.build_parser()[1][command]
+        for key, action in parser.options.items():
+            if action.default is not None and action.nargs != 0 and key == action.dest:
+                assert f"(default {action.default})" in text, key
+
+
+class TestUnphysicalMessage:
+    def test_eigenvalue_printed_below_the_bound(self, capsys):
+        code, _, err = run(capsys, "report", "--eta", "0.5", "--eps", "0.1",
+                           "--vr", "1e-9", "--va", "1")
+        assert code == 1
+        found = re.search(r"symplectic eigenvalue (\S+) is below 1 beyond the tolerance (\S+)",
+                          err)
+        assert found is not None, err
+        assert float(found.group(1)) < 1.0 - float(found.group(2))
+
+
+class TestOneGridLoop:
+    """fig2 and fig3 cells are the scalar model's floats, read from security_region."""
+
+    GRID = ("--va-min-db", "-6", "--va-max-db", "3", "--va-step-db", "0.5")
+
+    def rows(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv, *self.GRID, "--format", "json")
+        assert code == 0
+        return json.loads(out)
+
+    def points(self, rows, **fixed):
+        return [ProtocolParams(v_r=0.4 if r["protocol"] == "squeezed" else 1.0,
+                               v_a=r["v_a_snu"], eta=r["eta"],
+                               delta_v=0.2 if r["protocol"] == "squeezed" else 0.0,
+                               v_n=0.05, **fixed) for r in rows]
+
+    def test_fig2_is_holevo_eb(self, capsys):
+        rows = self.rows(capsys, "fig2", "--squeezing", "0.4", "--dv", "0.2", "--vn", "0.05")
+        assert [r["chi_e_bits"] for r in rows] == \
+            [protocol.holevo_eb(p) for p in self.points(rows)]
+
+    def test_fig3_is_key_rate_asymptotic(self, capsys):
+        rows = self.rows(capsys, "fig3", "--squeezing", "0.4", "--dv", "0.2", "--vn", "0.05",
+                         "--beta", "0.9")
+        assert [r["key_rate_bits"] for r in rows] == \
+            [protocol.key_rate_asymptotic(p) for p in self.points(rows, beta=0.9)]
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
+    def test_default_figure_matches_reference(self, capsys, command):
+        reference = Path(__file__).parent.parent / "bench" / "reference" / f"{command}.csv"
+        code, out, _ = run(capsys, command)
+        assert code == 0
+        assert out == reference.read_text(encoding="utf-8")

@@ -7,6 +7,7 @@ high-precision (mpmath, 40 digits) evaluations of the closed forms.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,14 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(cm)
         with pytest.raises(UnphysicalStateError, match="0.8"):
             von_neumann_entropy(CovarianceMatrix.from_diagonal([0.8, 0.8]), tol=0.05)
+
+    @pytest.mark.parametrize("nu", [0.999999928593077, 0.99999999899999, 0.9999999989999999])
+    def test_message_shows_the_gap(self, nu):
+        # 12 significant digits would round the last two up to the bound 1 - 1e-9
+        with pytest.raises(UnphysicalStateError) as info:
+            von_neumann_entropy(CovarianceMatrix.from_diagonal([nu, nu]))
+        shown = re.search(r"eigenvalue (\S+) is below", str(info.value)).group(1)
+        assert float(shown) < 1.0 - 1e-9
 
     def test_never_negative(self):
         rng = np.random.default_rng(9)
