@@ -38,6 +38,7 @@ from .gaussian import (
     CovarianceMatrix,
     apply_beamsplitter,
     condition_on_homodyne,
+    condition_on_label,
     db_to_snu,
     entropy_g,
     snu_to_db,

@@ -33,6 +33,7 @@ from .finite_size import FiniteSizeParams, security_region
 from .gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
+    condition_on_label,
     db_to_snu,
     snu_to_db,
     symplectic_eigenvalues,
@@ -286,7 +287,6 @@ def cmd_emulate(args) -> int:
     params = _protocol_from(args)
     cfg = EmulationConfig(n_samples=args.n_samples, seed=args.seed,
                           eta_bob_det=args.eta_bob_det, eta_eve_det=args.eta_eve_det,
-                          alice_p_placeholder=args.alice_p_placeholder,
                           ideal_detectors=args.ideal_detectors)
 
     batch = generate_samples(params, cfg)
@@ -307,12 +307,12 @@ def cmd_emulate(args) -> int:
 
     expected = expected_record_covariance(params, cfg)
     lines = ["entry        data          expected      std_err       sigma"]
-    for i in range(6):
-        for j in range(i, 6):
-            data_v = recon.cm.entries[i, j]
+    for i in range(5):
+        for j in range(i, 5):
+            data_v = recon.moments[i, j]
             exp_v = expected[i, j]
             err = recon.standard_errors[i, j]
-            sigma = abs(data_v - exp_v) / err if err > 0 else 0.0
+            sigma = abs(data_v - exp_v) / err
             lines.append(f"({i},{j})    {data_v:13.6g} {exp_v:13.6g} {err:13.6g} {sigma:9.3f}")
 
     try:
@@ -326,7 +326,7 @@ def cmd_emulate(args) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
 
-    exact = ReconstructedCM(cm=CovarianceMatrix(expected), n_samples=cfg.n_samples,
+    exact = ReconstructedCM(moments=expected, n_samples=cfg.n_samples,
                             standard_errors=np.zeros_like(expected))
     analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
     lines.append("")
@@ -346,7 +346,11 @@ def cmd_validate(args) -> int:
             raise ValueError(f"{args.matrix}: no 'matrix' or 'entries' key in JSON object")
     else:
         raw = payload
-    cm = CovarianceMatrix(np.asarray(raw, dtype=float))
+    matrix = np.asarray(raw, dtype=float)
+    if matrix.ndim == 2 and len(matrix) % 2 == 1:  # a label row, then modes
+        cm = condition_on_label(matrix)
+    else:
+        cm = CovarianceMatrix(matrix)
     nus = symplectic_eigenvalues(cm)
     lines = [f"nu_{k + 1} = {nu:.12g}" for k, nu in enumerate(nus)]
     ok = min(nus) >= 1.0 - args.tol
@@ -363,8 +367,6 @@ def _add_common(parser: _CommandParser, out_default: str | None = None,
                 out_help: str = "output path (default: standard output)") -> None:
     parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
     parser.add_argument("--out", default=out_default, help=out_help)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed; output is bit-reproducible given it")
 
 
 def _add_protocol(parser: _CommandParser) -> None:
@@ -459,14 +461,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
                     "<out>_report.json, and prints an entry-wise sigma-distance table.")
     _add_common(emu, "emulation", "prefix of the output files")
     _add_protocol(emu)
+    emu.add_argument("--seed", type=int, default=0,
+                     help="random seed; output is bit-reproducible given it")
     emu.add_argument("--n-samples", type=int, default=100000, help="number of records to draw")
     emu.add_argument("--eta-bob-det", type=float, default=EmulationConfig.eta_bob_det,
                      help="receiver homodyne efficiency")
     emu.add_argument("--eta-eve-det", type=float, default=EmulationConfig.eta_eve_det,
                      help="eavesdropper homodyne efficiency")
-    emu.add_argument("--alice-p-placeholder", type=float,
-                     default=EmulationConfig.alice_p_placeholder,
-                     help="placeholder variance for the sender's phase row")
     emu.add_argument("--ideal-detectors", action="store_true",
                      help="disable detector imperfections")
     emu.set_defaults(func=cmd_emulate)
@@ -475,7 +476,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
         "validate", help="check a covariance-matrix JSON file",
         description="Accepts a bare row-major matrix or an object with a "
                     "'matrix' key; prints the symplectic eigenvalues and "
-                    "pass/fail against the uncertainty bound.")
+                    "pass/fail against the uncertainty bound.  A matrix of odd "
+                    "dimension, such as emulate's reconstruction, is a classical "
+                    "label (row 0) followed by modes; it is checked on the "
+                    "modes' state conditioned on the label.")
     _add_common(val)
     val.add_argument("matrix", help="path to the covariance-matrix JSON file")
     val.add_argument("--tol", type=float, default=PHYSICALITY_TOL,

@@ -1,17 +1,16 @@
 """Monte-Carlo emulation of the experiment's data path.
 
-Draws quadrature samples through the channel model, reconstructs the 6x6
-covariance matrix of the three parties' recorded variables, normalizes to
-shot noise and recomputes the security quantities from data, mirroring how
-the measured covariance matrices are produced in the laboratory.
+Draws quadrature samples through the channel model, normalizes them to shot
+noise, reconstructs the 5x5 second moments of the recorded variables and
+recomputes the security quantities from data, mirroring how the measured
+covariance matrices are produced in the laboratory.
 
-Recorded variables per sample: the sender's alphabet value x_a and the
-detected quadratures (x_b, p_b) and (x_e, p_e).  Detector imperfection is a
+Recorded variables per sample, in the order of the samples CSV and of the
+reconstructed moments: the sender's alphabet value x_a and the detected
+quadratures (x_b, p_b) and (x_e, p_e).  Detector imperfection is a
 beamsplitter with vacuum in front of an ideal homodyne; the receiver's
-electronic noise is added after (trusted).  The sender's phase quadrature is
-never measured: its row in the reconstructed matrix is a configurable large
-placeholder variance that keeps the 6x6 matrix physical without inventing
-phase correlations.
+electronic noise is added after (trusted).  x_a is a classical label, not a
+mode: physicality is checked on the (B, E) state conditioned on it.
 
 Sampling uses numpy's counter-based Philox bit generator, so a seed fully
 determines the output across platforms and numpy versions.
@@ -28,7 +27,7 @@ from .errors import InsufficientDataError, UnphysicalStateError
 from .gaussian import (
     CovarianceMatrix,
     apply_beamsplitter,
-    condition_on_homodyne,
+    condition_on_label,
     symplectic_eigenvalues,
 )
 from .protocol import (
@@ -44,8 +43,8 @@ from .protocol import (
 # Statistical slack on the uncertainty bound for reconstructed matrices.
 STATISTICAL_PHYSICALITY_TOL = 0.05
 
-# Quadrature indices of the reconstructed 6x6 matrix, modes ordered (A, B, E).
-XA, PA, XB, PB, XE, PE = range(6)
+# Indices of the recorded variables, the samples CSV's column order.
+XA, XB, PB, XE, PE = range(5)
 
 # Records formatted by one ``%`` operation when writing the samples CSV.
 _CSV_BLOCK_ROWS = 4096
@@ -55,19 +54,17 @@ _CSV_BLOCK_ROWS = 4096
 class EmulationConfig:
     """Sampling configuration.
 
-    n_samples            records to draw
-    seed                 64-bit seed of the Philox counter-based generator
-    eta_bob_det          receiver homodyne efficiency, in (0, 1]
-    eta_eve_det          eavesdropper homodyne efficiency, in (0, 1]
-    alice_p_placeholder  variance filled into the sender's unmeasured phase row
-    ideal_detectors      when True both efficiencies are treated as exactly 1
+    n_samples        records to draw
+    seed             64-bit seed of the Philox counter-based generator
+    eta_bob_det      receiver homodyne efficiency, in (0, 1]
+    eta_eve_det      eavesdropper homodyne efficiency, in (0, 1]
+    ideal_detectors  when True both efficiencies are treated as exactly 1
     """
 
     n_samples: int
     seed: int
     eta_bob_det: float = 0.85
     eta_eve_det: float = 0.95
-    alice_p_placeholder: float = 100.0
     ideal_detectors: bool = False
 
     def __post_init__(self):
@@ -79,8 +76,6 @@ class EmulationConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        if self.alice_p_placeholder <= 0.0:
-            raise ValueError("alice_p_placeholder must be positive")
 
     def detector_efficiencies(self) -> tuple[float, float]:
         if self.ideal_detectors:
@@ -128,15 +123,18 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class ReconstructedCM:
-    """Sample covariance matrix of the recorded variables with entry-wise errors."""
+    """Sample second moments of the recorded variables with entry-wise errors.
 
-    cm: CovarianceMatrix
+    Both arrays are 5x5, indexed in the samples CSV's column order XA..PE.
+    """
+
+    moments: np.ndarray
     n_samples: int
     standard_errors: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
-            "matrix": self.cm.entries.tolist(),
+            "matrix": self.moments.tolist(),
             "n_samples": self.n_samples,
             "standard_errors": self.standard_errors.tolist(),
         }
@@ -193,13 +191,11 @@ def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
 
 
 def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
-    """Unbiased zero-mean second moments of the records as a 6x6 matrix.
+    """Unbiased zero-mean second moments of the five recorded variables.
 
     The model is zero-mean by construction, so moments are sums of products
-    divided by n - 1 without mean subtraction.  The sender's phase row is the
-    configured placeholder on the diagonal and zero elsewhere, with zero
-    standard error.  Entry-wise standard errors are the asymptotic Gaussian
-    values sqrt((M_ii M_jj + M_ij^2) / n).
+    divided by n - 1 without mean subtraction.  Entry-wise standard errors
+    are the asymptotic Gaussian values sqrt((M_ii M_jj + M_ij^2) / n).
     """
     n = batch.n_samples
     if n < 2:
@@ -208,24 +204,16 @@ def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
     moments = data.T @ data / (n - 1)
     moments = 0.5 * (moments + moments.T)
 
-    full = np.zeros((6, 6))
-    recorded = [XA, XB, PB, XE, PE]
-    full[np.ix_(recorded, recorded)] = moments
-    full[PA, PA] = batch.config.alice_p_placeholder
-
-    diag = np.diag(full)
+    diag = np.diag(moments)
     if np.any(diag <= 0.0):
         bad = int(np.argmax(diag <= 0.0))
         raise UnphysicalStateError(
-            f"reconstructed variance at quadrature index {bad} is {diag[bad]:.6g}; "
+            f"reconstructed variance of {batch.CSV_COLUMNS[bad]} is {diag[bad]:.6g}; "
             "a covariance matrix needs positive diagonal entries"
         )
 
-    errors = np.sqrt((np.outer(diag, diag) + full ** 2) / n)
-    errors[PA, :] = 0.0
-    errors[:, PA] = 0.0
-    return ReconstructedCM(cm=CovarianceMatrix(full), n_samples=n,
-                           standard_errors=errors)
+    errors = np.sqrt((np.outer(diag, diag) + moments ** 2) / n)
+    return ReconstructedCM(moments=moments, n_samples=n, standard_errors=errors)
 
 
 def normalize_to_shot_noise(batch: SampleBatch,
@@ -256,7 +244,7 @@ def normalize_to_shot_noise(batch: SampleBatch,
 
 
 def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.ndarray:
-    """Analytic 6x6 covariance of the recorded variables for given settings.
+    """Analytic 5x5 second moments of the recorded variables for given settings.
 
     Built from the joint channel-output state by mixing in the detector
     vacua, adding the electronic noise to the receiver's X and attaching the
@@ -276,19 +264,18 @@ def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.nd
     cross[:2] *= math.sqrt(eta_b)
     cross[2:] *= math.sqrt(eta_e)
 
-    full = np.zeros((6, 6))
-    full[XA, XA] = p.v_a
-    full[PA, PA] = cfg.alice_p_placeholder
-    full[2:, 2:] = detected
-    full[XA, 2:] = cross
-    full[2:, XA] = cross
-    full[XB, XB] += p.v_n
-    return full
+    moments = np.zeros((5, 5))
+    moments[XA, XA] = p.v_a
+    moments[XB:, XB:] = detected
+    moments[XA, XB:] = cross
+    moments[XB:, XA] = cross
+    moments[XB, XB] += p.v_n
+    return moments
 
 
 def security_from_data(recon: ReconstructedCM, beta: float,
                        v_n_trusted: float = 0.0) -> SecurityReport:
-    """Security quantities computed from a reconstructed covariance matrix.
+    """Security quantities computed from the reconstructed moments.
 
     Follows the same extraction used on measured data: the Shannon
     information from the sender/receiver X block, the Holevo bound from the
@@ -302,17 +289,17 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     the electronic noise in their records, so data paths pass 0 here.
 
     The uncertainty bound is checked on the (B, E) state conditioned on the
-    sender's classical label x_a, which her placeholder phase row does not
-    enter.  Symplectic eigenvalues may undershoot 1 by up to 0.05 for
-    statistical noise and are clamped to 1; harder violations raise.
+    sender's classical label x_a.  Symplectic eigenvalues may undershoot 1 by
+    up to 0.05 for statistical noise and are clamped to 1; harder violations
+    raise.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if v_n_trusted < 0.0:
         raise ValueError(f"v_n_trusted must be >= 0, got {v_n_trusted}")
-    m = recon.cm.entries
+    m = recon.moments
     tol = STATISTICAL_PHYSICALITY_TOL
-    nu_min = symplectic_eigenvalues(condition_on_homodyne(recon.cm, 0, "X"))[-1]
+    nu_min = symplectic_eigenvalues(condition_on_label(m))[-1]
     if nu_min < 1.0 - tol:
         raise UnphysicalStateError(
             f"reconstructed matrix is statistically unphysical: "
@@ -323,7 +310,7 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     v_b_given_a = v_b - m[XA, XB] ** 2 / m[XA, XA]
     i_ab = 0.5 * math.log2(v_b / v_b_given_a)
 
-    be = recon.cm.submatrix([1, 2])  # receiver mode, eavesdropper mode
+    be = CovarianceMatrix(m[XB:, XB:])  # receiver mode, eavesdropper mode
     chi = holevo_from_cm(be, v_n_trusted, tol)
     c_eb = m[XE, XB] ** 2 / (m[XE, XE] * v_b)
     c_ea = m[XA, XE] ** 2 / (m[XA, XA] * m[XE, XE])

@@ -71,11 +71,6 @@ class CovarianceMatrix:
     def from_diagonal(cls, diagonal) -> "CovarianceMatrix":
         return cls(np.diag(np.asarray(diagonal, dtype=float)))
 
-    def mode_block(self, mode: int) -> np.ndarray:
-        """2x2 diagonal block of a single mode."""
-        i = 2 * mode
-        return np.array(self.entries[i:i + 2, i:i + 2])
-
     def submatrix(self, modes) -> "CovarianceMatrix":
         """Covariance matrix restricted to the listed modes, in the given order."""
         idx = []
@@ -90,24 +85,6 @@ class CovarianceMatrix:
         out[:a.shape[0], :a.shape[0]] = a
         out[a.shape[0]:, a.shape[0]:] = b
         return CovarianceMatrix(out)
-
-    def min_symplectic_eigenvalue(self) -> float:
-        return symplectic_eigenvalues(self)[-1]
-
-    def assert_physical(self, tol: float = PHYSICALITY_TOL) -> None:
-        nu_min = self.min_symplectic_eigenvalue()
-        if nu_min < 1.0 - tol:
-            raise UnphysicalStateError(
-                f"minimal symplectic eigenvalue {nu_min:.12g} violates the uncertainty bound"
-            )
-
-    def to_json_dict(self) -> dict:
-        """Row-major serialization used by the CLI debug dumps."""
-        return {"n_modes": self.n_modes, "matrix": self.entries.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CovarianceMatrix":
-        return cls(np.asarray(data["matrix"], dtype=float))
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
@@ -195,14 +172,34 @@ def condition_on_homodyne(cm: CovarianceMatrix, measured_mode: int,
     if quad not in ("X", "P"):
         raise ValueError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
     idx = 2 * measured_mode + (0 if quad == "X" else 1)
-    variance = cm.entries[idx, idx]
-    if variance <= 0.0:
-        raise DegenerateMeasurementError(
-            f"measured quadrature variance {variance:.6g} is not positive"
-        )
     keep = [k for k in range(2 * cm.n_modes) if k not in (2 * measured_mode, 2 * measured_mode + 1)]
-    cross = cm.entries[keep, idx]
-    reduced = cm.entries[np.ix_(keep, keep)] - np.outer(cross, cross) / variance
+    return _schur_complement(cm.entries, idx, keep, "measured quadrature")
+
+
+def condition_on_label(moments) -> CovarianceMatrix:
+    """State of the modes given a classical label, such as the sender's alphabet value.
+
+    ``moments`` is a symmetric (2n+1) x (2n+1) zero-mean second-moment matrix:
+    row 0 is the label, the other rows are n modes ordered (X1, P1, ...).
+    Returns m[1:, 1:] - m[1:, 0] m[1:, 0]^T / m[0, 0], symmetrised: the same
+    matrix as an ideal X homodyne on a mode whose X is the label, whatever
+    that mode's unrecorded P.
+    """
+    m = np.asarray(moments, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 1:
+        raise ValueError(f"labelled moments must be square of odd dimension, got shape {m.shape}")
+    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+        raise ValueError(f"labelled moments are not symmetric within {SYMMETRY_TOL}")
+    return _schur_complement(m, 0, list(range(1, m.shape[0])), "label")
+
+
+def _schur_complement(m: np.ndarray, idx: int, keep: list[int], what: str) -> CovarianceMatrix:
+    """Rows ``keep`` of ``m`` conditioned on the Gaussian variable at row ``idx``."""
+    variance = m[idx, idx]
+    if variance <= 0.0:
+        raise DegenerateMeasurementError(f"{what} variance {variance:.6g} is not positive")
+    cross = m[keep, idx]
+    reduced = m[np.ix_(keep, keep)] - np.outer(cross, cross) / variance
     return CovarianceMatrix(0.5 * (reduced + reduced.T))
 
 

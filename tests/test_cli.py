@@ -13,7 +13,7 @@ from sqzkd import cli, finite_size, protocol
 from sqzkd.cli import _db_grid, _format_cell, main
 from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold
-from sqzkd.gaussian import db_to_snu, snu_to_db
+from sqzkd.gaussian import condition_on_label, db_to_snu, snu_to_db, symplectic_eigenvalues
 from sqzkd.protocol import ProtocolParams, decoupling_modulation, mutual_information_ab
 
 REPORT_KEYS = ["i_ab", "chi_e", "key_rate", "c_eb", "c_ea",
@@ -126,8 +126,8 @@ class TestFig2:
 
     def test_reproducible_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "fig2", "--seed", "1", "--out", str(a))
-        run(capsys, "fig2", "--seed", "1", "--out", str(b))
+        run(capsys, "fig2", "--out", str(a))
+        run(capsys, "fig2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_coherent_source_has_no_decoupling_row(self, capsys, tmp_path):
@@ -384,7 +384,7 @@ class TestEmulate:
         assert list(report) == REPORT_KEYS
         assert report["chi_e"] < 0.05
         recon = json.loads((tmp_path / "run_reconstruction.json").read_text())
-        assert np.asarray(recon["matrix"]).shape == (6, 6)
+        assert np.asarray(recon["matrix"]).shape == (5, 5)
         assert recon["n_samples"] == 20000
         samples = (tmp_path / "run_samples.csv").read_text().splitlines()
         assert samples[0] == "x_a,x_b,p_b,x_e,p_e"
@@ -436,11 +436,65 @@ class TestValidate:
         assert code == 0
         assert "PASS" in out
 
+    def test_labelled_reconstruction_checked_given_the_label(self, capsys, tmp_path):
+        # emulate accepts this run; validate checks the same (B, E) state given
+        # x_a that security_from_data checks, so it must pass too
+        prefix = str(tmp_path / "run")
+        code, _, _ = run(capsys, "emulate", "--vr", "0.5", "--va", "0.005", "--eta", "0.5",
+                         "--ideal-detectors", "--n-samples", "200000", "--seed", "1",
+                         "--out", prefix)
+        assert code == 0
+        assert "error" not in json.loads(Path(f"{prefix}_report.json").read_text())
+        code, out, _ = run(capsys, "validate", f"{prefix}_reconstruction.json",
+                           "--tol", "0.05")
+        assert code == 0
+        assert "PASS" in out
+        moments = json.loads(Path(f"{prefix}_reconstruction.json").read_text())["matrix"]
+        nu_min = symplectic_eigenvalues(condition_on_label(moments))[-1]
+        assert f"minimal symplectic eigenvalue {nu_min:.12g} vs bound 0.95" in out
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         code, _, _ = run(capsys, "validate", str(path))
         assert code == 1
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["report", "--seed", "1"],
+        ["fig2", "--seed", "1"],
+        ["fig3", "--seed", "1"],
+        ["fig4", "--seed", "1"],
+        ["validate", "vac.json", "--seed", "1"],
+        ["emulate", "--alice-p-placeholder", "50"],
+    ], ids=["report", "fig2", "fig3", "fig4", "validate", "emulate"])
+    def test_rejected(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("vac.json").write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        code, out, _ = run(capsys, *argv, "--out", "run")
+        assert code == 1
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["vac.json"]
+
+    def test_config_keys_still_ignored(self, capsys, tmp_path):
+        config = write_config(tmp_path / "cfg.json", {"seed": 3, "alice_p_placeholder": 50.0})
+        reference = Path(__file__).parent.parent / "bench" / "reference" / "fig2.csv"
+        code, out, _ = run(capsys, "fig2", "--config", config)
+        assert code == 0
+        assert out == reference.read_text(encoding="utf-8")
+
+        runs = []
+        for extra in ([], ["--config", write_config(tmp_path / "emu.json",
+                                                    {"alice_p_placeholder": 50.0})]):
+            prefix = str(tmp_path / f"run{len(extra)}")
+            code, out, _ = run(capsys, "emulate", "--n-samples", "200", "--eta", "0.5",
+                               "--out", prefix, *extra)
+            files = [Path(f"{prefix}_{kind}").read_bytes()
+                     for kind in ("samples.csv", "reconstruction.json", "report.json")]
+            runs.append((code, out, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
 
 class TestTopLevel:
@@ -459,7 +513,7 @@ class TestTopLevel:
 
 
 # Values a config file may give each flag; every one differs from its default.
-COMMON_VALUES = {"out": "result", "seed": 3}
+COMMON_VALUES = {"out": "result"}
 PROTOCOL_VALUES = {"vr": 0.4, "vr_db": -4.0, "va": 0.7, "va_db": -2.0, "dv": 0.1, "eta": 0.6,
                    "eps": 0.01, "vn": 0.05, "beta": 0.9}
 SWEEP_VALUES = {"format": "json", "va_min_db": -4.0, "va_max_db": -1.0, "va_step_db": 0.5,
@@ -471,8 +525,8 @@ FLAG_VALUES = {
     "fig3": {**COMMON_VALUES, **SERIES_VALUES, "beta": 0.9},
     "fig4": {**COMMON_VALUES, **SWEEP_VALUES, "eta": 0.01, "eps": [0.0, 0.01],
              "finite_n": [1e9], "n_key": 1e8, "eps_smooth": 1e-9, "eps_pa": 1e-8},
-    "emulate": {**COMMON_VALUES, **PROTOCOL_VALUES, "n_samples": 300, "eta_bob_det": 0.9,
-                "eta_eve_det": 0.8, "alice_p_placeholder": 50.0, "ideal_detectors": True},
+    "emulate": {**COMMON_VALUES, **PROTOCOL_VALUES, "seed": 3, "n_samples": 300,
+                "eta_bob_det": 0.9, "eta_eve_det": 0.8, "ideal_detectors": True},
     "validate": {**COMMON_VALUES, "tol": 0.05},
 }
 # Explicit flags of every run: small grids and samples, and a lossy channel so

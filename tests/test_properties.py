@@ -18,7 +18,6 @@ from sqzkd.emulator import (
     expected_record_covariance,
     security_from_data,
 )
-from sqzkd.gaussian import CovarianceMatrix
 from sqzkd.protocol import ProtocolParams, classical_leakage, holevo_eb, security_report
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -56,7 +55,7 @@ def test_data_path_reproduces_model_on_exact_moments(v_r, v_a, eta, delta_v, v_n
     p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n)
     cfg = EmulationConfig(n_samples=10 ** 9, seed=0, ideal_detectors=True)
     matrix = expected_record_covariance(replace(p, v_n=0.0), cfg)
-    recon = ReconstructedCM(cm=CovarianceMatrix(matrix), n_samples=cfg.n_samples,
+    recon = ReconstructedCM(moments=matrix, n_samples=cfg.n_samples,
                             standard_errors=np.zeros_like(matrix))
     got = security_from_data(recon, p.beta, v_n_trusted=v_n)
     # at v_a = 1 - v_r the model's leakage terms are exactly 0 and the data
