@@ -24,16 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, UnphysicalStateError
-from .gaussian import (
-    CovarianceMatrix,
-    apply_beamsplitter,
-    condition_on_label,
-    symplectic_eigenvalues,
-)
+from .gaussian import CovarianceMatrix, condition_on_label, symplectic_eigenvalues
 from .protocol import (
     ProtocolParams,
     SecurityReport,
-    build_joint_state,
     environment_variance,
     holevo_from_cm,
     qmi_from_cm,
@@ -140,15 +134,17 @@ class ReconstructedCM:
         }
 
 
-def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
-    """Draw one batch of records through the channel and detector model.
+def _records(p: ProtocolParams, cfg: EmulationConfig, draw):
+    """The five recorded variables as linear maps of independent Gaussian draws.
 
-    Per sample the independent latent variables are the alphabet value
+    The single description of the channel and detector optics.  ``draw(sd)``
+    returns one latent variable of standard deviation ``sd``; the records are
+    built from at most ten of them, drawn in this order: the alphabet value
     x_a ~ N(0, v_a), the source quadratures x_r ~ N(0, v_r) and
-    p_r ~ N(0, 1/v_r + delta_v), the environment mode (vacuum, or the
-    eavesdropper's injected arm of variance W for excess noise), one vacuum
-    mode per imperfect detector, and the electronic noise x_n ~ N(0, v_n).
-    The channel mixes signal and environment as
+    p_r ~ N(0, 1/v_r + delta_v), the environment mode's two quadratures
+    (vacuum, or the eavesdropper's injected arm of variance W for excess
+    noise), one vacuum mode per imperfect detector and the electronic noise
+    x_n ~ N(0, v_n).  The channel mixes signal and environment as
 
         x_b = sqrt(eta) (x_a + x_r) - sqrt(1-eta) e_x
         x_e = sqrt(1-eta) (x_a + x_r) + sqrt(eta) e_x
@@ -156,16 +152,15 @@ def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     (identically for P with the modulation absent), after which each detected
     quadrature is attenuated by its homodyne efficiency with vacuum making up
     the balance, and x_n is added to the receiver's X record.
-    """
-    n = cfg.n_samples
-    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
 
-    x_a = rng.standard_normal(n) * math.sqrt(p.v_a)
-    x_r = rng.standard_normal(n) * math.sqrt(p.v_r)
-    p_r = rng.standard_normal(n) * math.sqrt(p.anti_squeezed_variance)
+    Returns (x_a, x_b, p_b, x_e, p_e) in the samples CSV's column order.
+    """
+    x_a = draw(math.sqrt(p.v_a))
+    x_r = draw(math.sqrt(p.v_r))
+    p_r = draw(math.sqrt(p.anti_squeezed_variance))
     w = environment_variance(p)
-    e_x = rng.standard_normal(n) * math.sqrt(w)
-    e_p = rng.standard_normal(n) * math.sqrt(w)
+    e_x = draw(math.sqrt(w))
+    e_p = draw(math.sqrt(w))
 
     se, sr = math.sqrt(p.eta), math.sqrt(1.0 - p.eta)
     sig_x = x_a + x_r
@@ -177,15 +172,22 @@ def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     eta_b, eta_e = cfg.detector_efficiencies()
     if eta_b < 1.0:
         tb, rb = math.sqrt(eta_b), math.sqrt(1.0 - eta_b)
-        x_b = tb * x_b + rb * rng.standard_normal(n)
-        p_b = tb * p_b + rb * rng.standard_normal(n)
+        x_b = tb * x_b + rb * draw(1.0)
+        p_b = tb * p_b + rb * draw(1.0)
     if eta_e < 1.0:
         te, re = math.sqrt(eta_e), math.sqrt(1.0 - eta_e)
-        x_e = te * x_e + re * rng.standard_normal(n)
-        p_e = te * p_e + re * rng.standard_normal(n)
+        x_e = te * x_e + re * draw(1.0)
+        p_e = te * p_e + re * draw(1.0)
 
-    x_b = x_b + rng.standard_normal(n) * math.sqrt(p.v_n)
+    x_b = x_b + draw(math.sqrt(p.v_n))
+    return x_a, x_b, p_b, x_e, p_e
 
+
+def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
+    """Draw one batch of records through the channel and detector model of _records."""
+    n = cfg.n_samples
+    rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
+    x_a, x_b, p_b, x_e, p_e = _records(p, cfg, lambda sd: rng.standard_normal(n) * sd)
     return SampleBatch(x_a=x_a, x_b=x_b, p_b=p_b, x_e=x_e, p_e=p_e,
                        params=p, config=cfg)
 
@@ -246,31 +248,14 @@ def normalize_to_shot_noise(batch: SampleBatch,
 def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.ndarray:
     """Analytic 5x5 second moments of the recorded variables for given settings.
 
-    Built from the joint channel-output state by mixing in the detector
-    vacua, adding the electronic noise to the receiver's X and attaching the
-    sender's row from her cross moments.  Serves as the oracle the sampled
-    reconstruction converges to.
+    Runs _records on unit vectors, one per latent draw, to get the 5x10
+    transfer map T from the independent draws to the records; their second
+    moments are then T T^T.  Serves as the oracle the sampled reconstruction
+    converges to.
     """
-    joint, alice_cross = build_joint_state(p)
-    eta_b, eta_e = cfg.detector_efficiencies()
-
-    state = joint.tensor(CovarianceMatrix.vacuum(2))
-    vac_b, vac_e = joint.n_modes, joint.n_modes + 1
-    state = apply_beamsplitter(state, 0, vac_b, eta_b)
-    state = apply_beamsplitter(state, 1, vac_e, eta_e)
-    detected = state.submatrix([0, 1]).entries
-
-    cross = alice_cross[:4].copy()
-    cross[:2] *= math.sqrt(eta_b)
-    cross[2:] *= math.sqrt(eta_e)
-
-    moments = np.zeros((5, 5))
-    moments[XA, XA] = p.v_a
-    moments[XB:, XB:] = detected
-    moments[XA, XB:] = cross
-    moments[XB:, XA] = cross
-    moments[XB, XB] += p.v_n
-    return moments
+    latents = iter(np.eye(10))
+    transfer = np.array(_records(p, cfg, lambda sd: next(latents) * sd))
+    return transfer @ transfer.T
 
 
 def security_from_data(recon: ReconstructedCM, beta: float,

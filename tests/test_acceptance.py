@@ -63,7 +63,7 @@ def test_criterion_1_decoupling_zero():
         for _ in range(1000):
             p = random_draw(rng)
             assert holevo_eb(p) <= 1e-9
-            joint, _ = build_joint_state(p)
+            joint = build_joint_state(p)
             assert abs(joint.entries[0, 2]) <= 1e-12  # <X_B X_E>
 
 
@@ -144,7 +144,7 @@ def test_criterion_6_pipeline_matches_closed_forms():
         rng = np.random.default_rng(106)
         for _ in range(1000):
             p = random_draw(rng, v_a=rng.uniform(0.0, 3.0))
-            joint, _ = build_joint_state(p)
+            joint = build_joint_state(p)
             assert np.max(np.abs(joint.submatrix([1]).entries
                                  - eve_covariance(p).entries)) <= 1e-10
             noisy = np.array(joint.entries)

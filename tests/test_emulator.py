@@ -316,14 +316,24 @@ class TestCsvExport:
         assert written == self._savetxt_bytes(batch, tmp_path / "ref.csv")
         assert written.split(b"\n")[1] == b"nan,-1,123456789012,nan,-0"
 
-    def test_pinned_bytes_of_emulate_samples(self, tmp_path, capsys):
-        # Fixes the Philox stream and the 12-significant-digit format across versions.
+    @pytest.mark.parametrize("flags, size, digest", [
+        pytest.param(["--vr", "0.5", "--va", "2", "--eta", "0.58"], 3_005_080,
+                     "6ebdf04af51603ab19d46673832fb145de94d92d2658e1eb129b7d8611c963fc",
+                     id="lossy"),
+        pytest.param(["--vr", "0.3", "--va", "1.2", "--eta", "0.4", "--eps", "0.05",
+                      "--vn", "0.1", "--dv", "0.2"], 3_009_732,
+                     "73ac62a423209269b119cab49e3d86e79c2d52d1768619054a6ca77b7ade2d76",
+                     id="noisy"),
+    ])
+    def test_pinned_bytes_of_emulate_samples(self, tmp_path, capsys, flags, size, digest):
+        # Fixes the Philox stream, the draw order and the 12-significant-digit
+        # format across versions; the noisy case also fixes the W, delta_v and
+        # v_n draws.
         prefix = tmp_path / "pin"
-        code = main(["emulate", "--vr", "0.5", "--va", "2", "--eta", "0.58",
-                     "--n-samples", "40000", "--seed", "11", "--out", str(prefix)])
+        code = main(["emulate", *flags, "--n-samples", "40000", "--seed", "11",
+                     "--out", str(prefix)])
         capsys.readouterr()
         assert code == 0
         written = (tmp_path / "pin_samples.csv").read_bytes()
-        assert len(written) == 3_005_080
-        assert hashlib.sha256(written).hexdigest() == \
-            "6ebdf04af51603ab19d46673832fb145de94d92d2658e1eb129b7d8611c963fc"
+        assert len(written) == size
+        assert hashlib.sha256(written).hexdigest() == digest

@@ -1,8 +1,9 @@
 """Property-based tests over the realistic parameter domain.
 
 The domain is v_r in [0.1, 1], eta in [0.01, 0.99], delta_v in [0, 10],
-v_n in [0, 1], epsilon in [0, 0.1] and v_a in [0, 10]: every point of it
-must give a finite, consistent answer.
+v_n in [0, 1], epsilon in [0, 0.1] and v_a in [0, 10], with detector
+efficiencies in (0, 1]: every point of it must give a finite, consistent
+answer.
 """
 
 import math
@@ -13,12 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzkd.emulator import (
+    XA, XB,
     EmulationConfig,
     ReconstructedCM,
     expected_record_covariance,
     security_from_data,
 )
-from sqzkd.protocol import ProtocolParams, classical_leakage, holevo_eb, security_report
+from sqzkd.gaussian import CovarianceMatrix, apply_beamsplitter
+from sqzkd.protocol import (
+    ProtocolParams,
+    build_joint_state,
+    classical_leakage,
+    holevo_eb,
+    security_report,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -27,6 +36,7 @@ eta_values = st.floats(0.01, 0.99)
 delta_v_values = st.floats(0.0, 10.0)
 v_n_values = st.floats(0.0, 1.0)
 epsilon_values = st.one_of(st.just(0.0), st.floats(0.0, 0.1))
+efficiency_values = st.floats(0.0, 1.0, exclude_min=True)
 
 
 @PROPERTY_SETTINGS
@@ -62,3 +72,41 @@ def test_data_path_reproduces_model_on_exact_moments(v_r, v_a, eta, delta_v, v_n
     # path's are float noise (~1e-33), hence the absolute floor
     for key, want in security_report(p).as_dict().items():
         assert math.isclose(getattr(got, key), want, rel_tol=1e-9, abs_tol=1e-12), key
+
+
+def quantum_model_record_covariance(p, cfg):
+    """Record moments built on the quantum state, independently of the sampler's optics.
+
+    The channel outputs of build_joint_state, each detected mode mixed with
+    its own vacuum at the homodyne efficiency, the sender's cross moments
+    sqrt(eta eta_b) v_a with x_b and sqrt((1-eta) eta_e) v_a with x_e, and
+    the electronic noise v_n on x_b.
+    """
+    joint = build_joint_state(p)
+    eta_b, eta_e = cfg.detector_efficiencies()
+    state = joint.tensor(CovarianceMatrix.vacuum(2))
+    state = apply_beamsplitter(state, 0, joint.n_modes, eta_b)
+    state = apply_beamsplitter(state, 1, joint.n_modes + 1, eta_e)
+    cross = [math.sqrt(p.eta * eta_b) * p.v_a, 0.0,
+             math.sqrt((1.0 - p.eta) * eta_e) * p.v_a, 0.0]
+    moments = np.zeros((5, 5))
+    moments[XA, XA] = p.v_a
+    moments[XB:, XB:] = state.submatrix([0, 1]).entries
+    moments[XA, XB:] = cross
+    moments[XB:, XA] = cross
+    moments[XB, XB] += p.v_n
+    return moments
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values, epsilon=epsilon_values, eta_bob_det=efficiency_values,
+       eta_eve_det=efficiency_values, ideal_detectors=st.booleans())
+def test_record_moments_match_quantum_model(v_r, v_a, eta, delta_v, v_n, epsilon,
+                                            eta_bob_det, eta_eve_det, ideal_detectors):
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    cfg = EmulationConfig(n_samples=2, seed=0, eta_bob_det=eta_bob_det,
+                          eta_eve_det=eta_eve_det, ideal_detectors=ideal_detectors)
+    want = quantum_model_record_covariance(p, cfg)
+    got = expected_record_covariance(p, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

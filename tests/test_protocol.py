@@ -42,7 +42,7 @@ EVE_COND_X_058 = 1.2658227848101265823  # 2 / 1.58
 
 def pipeline_chi(p):
     """Independent route: joint state, noisy X homodyne, entropy difference."""
-    joint, _ = build_joint_state(p)
+    joint = build_joint_state(p)
     eve = joint.submatrix(range(1, joint.n_modes))
     noisy = np.array(joint.entries)
     noisy[0, 0] += p.v_n
@@ -251,7 +251,7 @@ class TestClassicalLeakage:
 class TestBuildJointState:
     def test_consistent_with_analytic_eve_block(self):
         p = ProtocolParams(v_r=0.5, v_a=0.8, eta=0.37, delta_v=1.5, v_n=0.2)
-        joint, _ = build_joint_state(p)
+        joint = build_joint_state(p)
         assert np.allclose(joint.submatrix([1]).entries, eve_covariance(p).entries,
                            atol=1e-14)
 
@@ -259,7 +259,7 @@ class TestBuildJointState:
         rng = np.random.default_rng(8)
         for _ in range(200):
             p = random_params(rng)
-            joint, _ = build_joint_state(p)
+            joint = build_joint_state(p)
             assert np.allclose(joint.submatrix([1]).entries,
                                eve_covariance(p).entries, atol=1e-10)
             noisy = np.array(joint.entries)
@@ -270,22 +270,16 @@ class TestBuildJointState:
 
     def test_receiver_variance_with_excess_noise(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.035)
-        joint, _ = build_joint_state(p)
+        joint = build_joint_state(p)
         expected = p.eta * (p.v_r + p.v_a) + 1 - p.eta + p.eta * 0.035
         assert joint.entries[0, 0] == pytest.approx(expected, abs=1e-12)
-
-    def test_alice_cross_moments(self):
-        p = ProtocolParams(v_r=0.5, v_a=0.8, eta=0.36)
-        _, cross = build_joint_state(p)
-        assert cross == pytest.approx(
-            [math.sqrt(0.36) * 0.8, 0.0, math.sqrt(0.64) * 0.8, 0.0])
 
     def test_joint_state_physical(self):
         rng = np.random.default_rng(10)
         for eps in (0.0, 0.05):
             for _ in range(25):
                 p = random_params(rng, epsilon=eps)
-                joint, _ = build_joint_state(p)
+                joint = build_joint_state(p)
                 assert symplectic_eigenvalues(joint)[-1] >= 1 - 1e-8
 
     def test_degenerate_cloner_rejected(self):
@@ -378,6 +372,13 @@ class TestOptimalModulation:
             optimal_modulation(p, (1.0, 0.5))
         with pytest.raises(ValueError):
             optimal_modulation(p, (-0.5, 1.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_invalid_tolerance(self, tol):
+        # zero or negative never ends the search; nan skips it
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
+        with pytest.raises(ValueError, match="tol"):
+            optimal_modulation(p, (0.0, 1.0), tol=tol)
 
 
 class TestSecurityReport:
