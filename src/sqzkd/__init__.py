@@ -37,7 +37,6 @@ from .finite_size import (
 from .gaussian import (
     CovarianceMatrix,
     apply_beamsplitter,
-    condition_on_homodyne,
     condition_on_label,
     db_to_snu,
     entropy_g,
@@ -52,8 +51,6 @@ from .protocol import (
     build_joint_state,
     classical_leakage,
     decoupling_modulation,
-    eve_conditional_covariance,
-    eve_covariance,
     holevo_eb,
     key_rate_asymptotic,
     mutual_information_ab,

@@ -73,6 +73,8 @@ def _config_value(key: str, raw, action: argparse.Action):
         ok = isinstance(raw, str) and (action.choices is None or raw in action.choices)
     elif action.nargs == "*":
         expected, ok = "a list of numbers", isinstance(raw, list) and all(map(_is_number, raw))
+    elif action.type is int:  # int() would truncate a float that the command line rejects
+        expected, ok = "an integer", isinstance(raw, int) and not isinstance(raw, bool)
     else:
         expected, ok = "a number", _is_number(raw)
     if not ok:
@@ -341,9 +343,9 @@ def cmd_validate(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if isinstance(payload, dict):
-        raw = payload.get("matrix", payload.get("entries"))
+        raw = payload.get("matrix")
         if raw is None:
-            raise ValueError(f"{args.matrix}: no 'matrix' or 'entries' key in JSON object")
+            raise ValueError(f"{args.matrix}: no 'matrix' key in JSON object")
     else:
         raw = payload
     matrix = np.asarray(raw, dtype=float)

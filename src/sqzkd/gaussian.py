@@ -157,25 +157,6 @@ def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> f
     return sum(entropy_g(max(nu, 1.0)) for nu in spectrum)
 
 
-def condition_on_homodyne(cm: CovarianceMatrix, measured_mode: int,
-                          quadrature: str = "X") -> CovarianceMatrix:
-    """Conditional state of the remaining modes after an ideal homodyne measurement.
-
-    Schur complement gamma_A - gamma_C (Pi gamma_B Pi)^+ gamma_C^T with Pi the
-    projector onto the measured quadrature; since the projected block is
-    rank one this is the scalar update gamma_A - c c^T / v with v the measured
-    variance and c the cross-covariance column.
-    """
-    if measured_mode < 0 or measured_mode >= cm.n_modes:
-        raise ValueError(f"measured_mode {measured_mode} out of range for {cm.n_modes} modes")
-    quad = quadrature.upper()
-    if quad not in ("X", "P"):
-        raise ValueError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
-    idx = 2 * measured_mode + (0 if quad == "X" else 1)
-    keep = [k for k in range(2 * cm.n_modes) if k not in (2 * measured_mode, 2 * measured_mode + 1)]
-    return _schur_complement(cm.entries, idx, keep, "measured quadrature")
-
-
 def condition_on_label(moments) -> CovarianceMatrix:
     """State of the modes given a classical label, such as the sender's alphabet value.
 
@@ -190,16 +171,11 @@ def condition_on_label(moments) -> CovarianceMatrix:
         raise ValueError(f"labelled moments must be square of odd dimension, got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError(f"labelled moments are not symmetric within {SYMMETRY_TOL}")
-    return _schur_complement(m, 0, list(range(1, m.shape[0])), "label")
-
-
-def _schur_complement(m: np.ndarray, idx: int, keep: list[int], what: str) -> CovarianceMatrix:
-    """Rows ``keep`` of ``m`` conditioned on the Gaussian variable at row ``idx``."""
-    variance = m[idx, idx]
+    variance = m[0, 0]
     if variance <= 0.0:
-        raise DegenerateMeasurementError(f"{what} variance {variance:.6g} is not positive")
-    cross = m[keep, idx]
-    reduced = m[np.ix_(keep, keep)] - np.outer(cross, cross) / variance
+        raise DegenerateMeasurementError(f"label variance {variance:.6g} is not positive")
+    cross = m[1:, 0]
+    reduced = m[1:, 1:] - np.outer(cross, cross) / variance
     return CovarianceMatrix(0.5 * (reduced + reduced.T))
 
 

@@ -28,7 +28,7 @@ from .gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
     apply_beamsplitter,
-    condition_on_homodyne,
+    condition_on_label,
     entropy_g,
     von_neumann_entropy,
 )
@@ -127,41 +127,6 @@ def environment_variance(p: ProtocolParams) -> float:
     return 1.0 + p.eta * p.epsilon / (1.0 - p.eta)
 
 
-def eve_covariance(p: ProtocolParams) -> CovarianceMatrix:
-    """Closed-form single-mode state available to the eavesdropper (lossy channel).
-
-    diag[eta + (1-eta)(v_r + v_a), eta + (1-eta)(1/v_r + delta_v)].  Only valid
-    for epsilon = 0; with excess noise her state is two-mode and must be taken
-    from build_joint_state.
-    """
-    if p.epsilon != 0.0:
-        raise ValueError("eve_covariance is the epsilon = 0 closed form; "
-                         "use build_joint_state for a noisy channel")
-    big_v = p.v_r + p.v_a
-    return CovarianceMatrix.from_diagonal([
-        p.eta + (1.0 - p.eta) * big_v,
-        p.eta + (1.0 - p.eta) * p.anti_squeezed_variance,
-    ])
-
-
-def eve_conditional_covariance(p: ProtocolParams) -> CovarianceMatrix:
-    """Eavesdropper's state conditioned on the receiver's noisy X homodyne.
-
-    Only the X entry changes relative to eve_covariance:
-    (V + v_n (1-eta) V + eta v_n) / (v_n + 1 - eta + eta V) with V = v_r + v_a.
-    """
-    if p.epsilon != 0.0:
-        raise ValueError("eve_conditional_covariance is the epsilon = 0 closed form; "
-                         "use build_joint_state for a noisy channel")
-    big_v = p.v_r + p.v_a
-    x_entry = (big_v + p.v_n * (1.0 - p.eta) * big_v + p.eta * p.v_n) / \
-        (p.v_n + 1.0 - p.eta + p.eta * big_v)
-    return CovarianceMatrix.from_diagonal([
-        x_entry,
-        p.eta + (1.0 - p.eta) * p.anti_squeezed_variance,
-    ])
-
-
 def build_joint_state(p: ProtocolParams) -> CovarianceMatrix:
     """Global Gaussian state of the channel outputs.
 
@@ -201,6 +166,9 @@ def mutual_information_ab(p: ProtocolParams) -> float:
 
 
 def _clamp_chi(chi: float) -> float:
+    if not math.isfinite(chi):
+        raise ValueError(f"Holevo information computed as {chi!r} is not finite: "
+                         "a variance overflows double precision")
     if chi < -CHI_NOISE_FLOOR:
         raise RuntimeError(
             f"Holevo information computed as {chi:.6g} < 0 beyond the noise floor; "
@@ -213,28 +181,38 @@ def holevo_from_cm(cm: CovarianceMatrix, v_n: float = 0.0,
                    tol: float = PHYSICALITY_TOL) -> float:
     """Holevo bound S(E) - S(E | x_B) of a matrix over modes (B, E...); x_B adds trusted noise v_n.
 
-    ``tol`` is the entropies' clamping band: the model default, or statistical for data.
+    The receiver's noisy X is a classical label on the other modes, so
+    conditioning on it is condition_on_label on the rows (x_B, E...), with
+    v_n added to the x_B variance.  ``tol`` is the entropies' clamping band:
+    the model default, or statistical for data.
     """
     s_e = von_neumann_entropy(cm.submatrix(range(1, cm.n_modes)), tol)
-    noisy = np.array(cm.entries)
-    noisy[0, 0] += v_n
-    conditioned = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
-    return _clamp_chi(s_e - von_neumann_entropy(conditioned, tol))
+    rows = [0, *range(2, cm.entries.shape[0])]
+    labelled = cm.entries[np.ix_(rows, rows)]
+    labelled[0, 0] += v_n
+    return _clamp_chi(s_e - von_neumann_entropy(condition_on_label(labelled), tol))
 
 
 def holevo_eb(p: ProtocolParams) -> float:
     """Holevo bound on the eavesdropper's information about the receiver's X data.
 
-    chi = S(E) - S(E|B).  Lossy channels use the closed-form single-mode
-    states; with excess noise the bound is evaluated on her two-mode state
-    via the joint-state pipeline, conditioning on the receiver's noisy X.
+    chi = S(E) - S(E | x_B).  For a lossy channel her state is one diagonal
+    mode, diag[V_E^X, V_E^P] with V_E^X = eta + (1-eta) V, V = v_r + v_a, and
+    V_E^P = eta + (1-eta)(1/v_r + delta_v); the receiver's noisy X changes only
+    its X entry, to V_{E|B}^X = (V + v_n (1-eta) V + eta v_n) / (v_n + 1 - eta
+    + eta V).  So chi = g(sqrt(V_E^X V_E^P)) - g(sqrt(V_{E|B}^X V_E^P)), which
+    is 0 at v_a = 1 - v_r.  With excess noise her state has two modes and
+    holevo_from_cm evaluates the bound on build_joint_state.  Raises
+    ValueError where a variance overflows double precision.
     """
     if p.epsilon == 0.0:
-        ge = eve_covariance(p).entries
-        gc = eve_conditional_covariance(p).entries
-        chi = entropy_g(math.sqrt(ge[0, 0] * ge[1, 1])) - \
-            entropy_g(math.sqrt(gc[0, 0] * gc[1, 1]))
-        return _clamp_chi(chi)
+        big_v = p.v_r + p.v_a
+        v_e_x = p.eta + (1.0 - p.eta) * big_v
+        v_e_p = p.eta + (1.0 - p.eta) * p.anti_squeezed_variance
+        v_eb_x = (big_v + p.v_n * (1.0 - p.eta) * big_v + p.eta * p.v_n) / \
+            (p.v_n + 1.0 - p.eta + p.eta * big_v)
+        return _clamp_chi(entropy_g(math.sqrt(v_e_x * v_e_p))
+                          - entropy_g(math.sqrt(v_eb_x * v_e_p)))
     return holevo_from_cm(build_joint_state(p), p.v_n)
 
 

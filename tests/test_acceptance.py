@@ -18,13 +18,17 @@ from sqzkd.cli import _db_grid
 from sqzkd.emulator import EmulationConfig, expected_record_covariance, \
     generate_samples, reconstruct_covariance, security_from_data
 from sqzkd.finite_size import FiniteSizeParams, security_region
-from sqzkd.gaussian import CovarianceMatrix, condition_on_homodyne, db_to_snu, snu_to_db
+from sqzkd.gaussian import (
+    CovarianceMatrix,
+    condition_on_label,
+    db_to_snu,
+    snu_to_db,
+    von_neumann_entropy,
+)
 from sqzkd.protocol import (
     ProtocolParams,
     build_joint_state,
     classical_leakage,
-    eve_conditional_covariance,
-    eve_covariance,
     holevo_eb,
     key_rate_asymptotic,
 )
@@ -140,18 +144,32 @@ def test_criterion_5_secure_region_ordering():
 
 
 def test_criterion_6_pipeline_matches_closed_forms():
-    with criterion(6, "joint-state pipeline reproduces the closed-form matrices", 10.0):
+    with criterion(6, "joint-state pipeline reproduces the closed-form states and bound", 10.0):
+        def eve_states(p):
+            joint = build_joint_state(p)
+            labelled = np.delete(np.delete(joint.entries, 1, axis=0), 1, axis=1)
+            labelled[0, 0] += p.v_n
+            return joint.submatrix([1]).entries, condition_on_label(labelled).entries
+
+        # the paper's entries: diag[eta + (1-eta) V, eta + (1-eta)(1/v_r + delta_v)],
+        # and (V + v_n (1-eta) V + eta v_n) / (v_n + 1 - eta + eta V) given x_B
+        for p, eve_diag, cond_x in [
+            (ProtocolParams(v_r=1.0, v_a=1.0, eta=0.58), [1.42, 1.0], 2.0 / 1.58),
+            (ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, delta_v=1.0, v_n=0.3), [1.0, 2.0], 1.0),
+            (ProtocolParams(v_r=0.5, v_a=1.5, eta=0.5, v_n=1.0), [1.5, 1.5], 1.4),
+        ]:
+            eve, cond = eve_states(p)
+            assert np.max(np.abs(eve - np.diag(eve_diag))) <= 1e-10
+            assert np.max(np.abs(cond - np.diag([cond_x, eve_diag[1]]))) <= 1e-10
         rng = np.random.default_rng(106)
         for _ in range(1000):
             p = random_draw(rng, v_a=rng.uniform(0.0, 3.0))
-            joint = build_joint_state(p)
-            assert np.max(np.abs(joint.submatrix([1]).entries
-                                 - eve_covariance(p).entries)) <= 1e-10
-            noisy = np.array(joint.entries)
-            noisy[0, 0] += p.v_n
-            conditioned = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
-            assert np.max(np.abs(conditioned.entries
-                                 - eve_conditional_covariance(p).entries)) <= 1e-10
+            eve, cond = eve_states(p)
+            # one diagonal mode whose P entry the receiver's X leaves alone
+            assert max(abs(eve[0, 1]), abs(cond[0, 1]), abs(cond[1, 1] - eve[1, 1])) <= 1e-10
+            chi = von_neumann_entropy(CovarianceMatrix(eve)) \
+                - von_neumann_entropy(CovarianceMatrix(cond))
+            assert abs(holevo_eb(p) - chi) <= 1e-10
 
 
 def test_criterion_7_monte_carlo_consistency():

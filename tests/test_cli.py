@@ -453,6 +453,14 @@ class TestValidate:
         nu_min = symplectic_eigenvalues(condition_on_label(moments))[-1]
         assert f"minimal symplectic eigenvalue {nu_min:.12g} vs bound 0.95" in out
 
+    def test_entries_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"entries": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "no 'matrix' key" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -640,6 +648,19 @@ class TestConfigShape:
         assert err.startswith("error: ") and repr(key) in err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    def test_integer_flags_take_only_json_integers(self, capsys, tmp_path):
+        # int() would run these as 2000 records and seed 3; the same values on
+        # the command line are "invalid int value"
+        path = write_config(tmp_path / "cfg.json", {"n_samples": 2000.9, "seed": 3.7})
+        code, out, err = run(capsys, "emulate", "--config", path, "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out == ""
+        assert "must be an integer" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+        for flag, value in (("--n-samples", "2000.9"), ("--seed", "3.7")):
+            code, _, _ = run(capsys, "emulate", flag, value, "--out", str(tmp_path / "run"))
+            assert code == 1
+
     def test_db_flag_out_of_range(self, capsys):
         code, out, err = run(capsys, "report", "--va-db", "4000")
         assert code == 1
@@ -668,6 +689,19 @@ class TestUnphysicalMessage:
                           err)
         assert found is not None, err
         assert float(found.group(1)) < 1.0 - float(found.group(2))
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["--vr", "0.5", "--va", "1e300", "--eta", "0.5", "--dv", "1e300"],
+        ["--vr", "1e-320", "--va", "0.5", "--eta", "0.5"],
+        ["--vr", "0.5", "--va", "1e200", "--vn", "1e200", "--eta", "0.5"],
+    ], ids=["product", "anti-squeezing", "conditional"])
+    def test_report_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, "report", *argv)
+        assert code == 1
+        assert out == ""
+        assert "not finite" in err
 
 
 class TestOneGridLoop:

@@ -20,7 +20,6 @@ from sqzkd.errors import (
 from sqzkd.gaussian import (
     CovarianceMatrix,
     apply_beamsplitter,
-    condition_on_homodyne,
     condition_on_label,
     db_to_snu,
     entropy_g,
@@ -218,21 +217,23 @@ class TestVonNeumannEntropy:
             assert von_neumann_entropy(cm) >= 0.0
 
 
-def pinv_schur_oracle(matrix, mode, quad):
-    """Literal gamma_A - gamma_C (Pi gamma_B Pi)^+ gamma_C^T with numpy pinv."""
-    keep = [k for k in range(matrix.shape[0]) if k not in (2 * mode, 2 * mode + 1)]
-    meas = [2 * mode, 2 * mode + 1]
-    pi = np.diag([1.0, 0.0] if quad == "X" else [0.0, 1.0])
-    block = pi @ matrix[np.ix_(meas, meas)] @ pi
+def pinv_schur_oracle(matrix):
+    """Literal gamma_A - gamma_C (Pi gamma_B Pi)^+ gamma_C^T, X homodyne on mode 0, numpy pinv."""
+    pi = np.diag([1.0, 0.0])
+    block = pi @ matrix[:2, :2] @ pi
     pinv = np.linalg.pinv(block, rcond=1e-12)
-    cross = matrix[np.ix_(keep, meas)]
-    return matrix[np.ix_(keep, keep)] - cross @ pinv @ cross.T
+    cross = matrix[2:, :2]
+    return matrix[2:, 2:] - cross @ pinv @ cross.T
+
+
+def homodyne_x0(cm):
+    """Ideal X homodyne on mode 0: its X row is the label, its P row is dropped."""
+    return condition_on_label(np.delete(np.delete(cm.entries, 1, axis=0), 1, axis=1))
 
 
 class TestConditionOnHomodyne:
     def test_uncorrelated_vacua_unchanged(self):
-        cm = CovarianceMatrix.vacuum(2)
-        out = condition_on_homodyne(cm, 1, "X")
+        out = homodyne_x0(CovarianceMatrix.vacuum(2))
         assert out.n_modes == 1
         assert np.allclose(out.entries, np.eye(2), atol=1e-15)
 
@@ -240,16 +241,14 @@ class TestConditionOnHomodyne:
         rng = np.random.default_rng(11)
         for _ in range(25):
             cm, _ = random_physical_cm(rng, 2)
-            for quad in ("X", "P"):
-                got = condition_on_homodyne(cm, 1, quad)
-                want = pinv_schur_oracle(cm.entries, 1, quad)
-                assert np.allclose(got.entries, want, atol=1e-12)
+            assert np.allclose(homodyne_x0(cm).entries, pinv_schur_oracle(cm.entries),
+                               atol=1e-12)
 
     def test_never_increases_remaining_variances(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             cm, _ = random_physical_cm(rng, 3)
-            out = condition_on_homodyne(cm, 0, "X")
+            out = homodyne_x0(cm)
             before = np.diag(cm.entries)[2:]
             after = np.diag(out.entries)
             assert np.all(after <= before + 1e-12)
@@ -258,32 +257,25 @@ class TestConditionOnHomodyne:
         rng = np.random.default_rng(17)
         for _ in range(25):
             cm, _ = random_physical_cm(rng, 2)
-            out = condition_on_homodyne(cm, 0, "P")
-            assert min(symplectic_eigenvalues(out)) >= 1.0 - 1e-9
+            assert min(symplectic_eigenvalues(homodyne_x0(cm))) >= 1.0 - 1e-9
 
     def test_degenerate_variance_errors(self):
         cm = CovarianceMatrix.from_diagonal([0.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateMeasurementError):
-            condition_on_homodyne(cm, 0, "X")
-
-    def test_bad_mode_and_quadrature(self):
-        cm = CovarianceMatrix.vacuum(2)
-        with pytest.raises(ValueError, match="out of range"):
-            condition_on_homodyne(cm, 2, "X")
-        with pytest.raises(ValueError, match="quadrature"):
-            condition_on_homodyne(cm, 0, "Y")
+            homodyne_x0(cm)
 
 
 class TestConditionOnLabel:
     def test_equals_homodyne_on_the_label_mode(self):
-        # Row 0 is the X of a mode whose P is dropped: conditioning on the
-        # label is the X homodyne of that mode, bit for bit.
+        # Row 0 is the X of a mode whose P is dropped.  Conditioning a
+        # Gaussian vector on its first entry leaves the rest with the inverse
+        # of the rest-rest block of the inverse moment matrix.
         rng = np.random.default_rng(23)
         for _ in range(25):
             cm, _ = random_physical_cm(rng, 3)
             labelled = np.delete(np.delete(cm.entries, 1, axis=0), 1, axis=1)
-            got = condition_on_label(labelled)
-            assert np.array_equal(got.entries, condition_on_homodyne(cm, 0, "X").entries)
+            want = np.linalg.inv(np.linalg.inv(labelled)[1:, 1:])
+            assert np.allclose(condition_on_label(labelled).entries, want, atol=1e-12)
 
     def test_degenerate_label_errors(self):
         with pytest.raises(DegenerateMeasurementError, match="label"):

@@ -1,8 +1,8 @@
 """Tests for the analytic protocol model.
 
 The closed forms are cross-checked against the generic pipeline (joint state
-plus homodyne Schur complement), against frozen high-precision evaluations,
-and against sampled moments from the emulator.
+plus the Schur complement on the receiver's X), against frozen high-precision
+evaluations, and against sampled moments from the emulator.
 """
 
 import math
@@ -13,8 +13,7 @@ import pytest
 
 from sqzkd.emulator import EmulationConfig, generate_samples
 from sqzkd.gaussian import (
-    CovarianceMatrix,
-    condition_on_homodyne,
+    condition_on_label,
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
@@ -23,8 +22,6 @@ from sqzkd.protocol import (
     build_joint_state,
     classical_leakage,
     decoupling_modulation,
-    eve_conditional_covariance,
-    eve_covariance,
     holevo_eb,
     key_rate_asymptotic,
     mutual_information_ab,
@@ -40,14 +37,19 @@ IAB_HALF = 0.20751874963942190927  # 0.5 * log2(4/3)
 EVE_COND_X_058 = 1.2658227848101265823  # 2 / 1.58
 
 
+def eve_given_xb(p):
+    """Eavesdropper's state given the receiver's noisy X: rows (x_B, E...) of the joint state."""
+    joint = build_joint_state(p)
+    labelled = np.delete(np.delete(joint.entries, 1, axis=0), 1, axis=1)
+    labelled[0, 0] += p.v_n
+    return condition_on_label(labelled)
+
+
 def pipeline_chi(p):
     """Independent route: joint state, noisy X homodyne, entropy difference."""
     joint = build_joint_state(p)
     eve = joint.submatrix(range(1, joint.n_modes))
-    noisy = np.array(joint.entries)
-    noisy[0, 0] += p.v_n
-    conditioned = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
-    return von_neumann_entropy(eve) - von_neumann_entropy(conditioned)
+    return von_neumann_entropy(eve) - von_neumann_entropy(eve_given_xb(p))
 
 
 def random_params(rng, decoupled=False, epsilon=0.0):
@@ -86,41 +88,40 @@ class TestProtocolParams:
 
 
 class TestEveCovariance:
+    """The eavesdropper's block of the lossy joint state, against the paper's entries."""
+
     def test_decoupled_x_entry(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
-        assert np.allclose(eve_covariance(p).entries, np.diag([1.0, 1.5]), atol=1e-15)
+        eve = build_joint_state(p).submatrix([1])
+        assert np.allclose(eve.entries, np.diag([1.0, 1.5]), atol=1e-15)
 
     def test_coherent_reference_point(self):
         p = ProtocolParams(v_r=1.0, v_a=1.0, eta=0.58)
-        assert np.allclose(eve_covariance(p).entries, np.diag([1.42, 1.0]), atol=1e-12)
+        eve = build_joint_state(p).submatrix([1])
+        assert np.allclose(eve.entries, np.diag([1.42, 1.0]), atol=1e-12)
 
     def test_lossless_channel_leaks_vacuum(self):
         p = ProtocolParams(v_r=0.3, v_a=2.0, eta=1.0, delta_v=4.0)
-        assert np.allclose(eve_covariance(p).entries, np.eye(2), atol=1e-15)
-
-    def test_rejects_excess_noise(self):
-        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.01)
-        with pytest.raises(ValueError, match="build_joint_state"):
-            eve_covariance(p)
-        with pytest.raises(ValueError, match="build_joint_state"):
-            eve_conditional_covariance(p)
+        eve = build_joint_state(p).submatrix([1])
+        assert np.allclose(eve.entries, np.eye(2), atol=1e-15)
 
 
 class TestEveConditionalCovariance:
+    """The eavesdropper's lossy-channel state given the receiver's noisy X."""
+
     def test_decoupling_point_is_unity(self):
         for eta in (0.1, 0.5, 0.9):
             for v_n in (0.0, 0.3, 5.0):
                 p = ProtocolParams(v_r=0.5, v_a=0.5, eta=eta, v_n=v_n)
-                assert eve_conditional_covariance(p).entries[0, 0] == pytest.approx(1.0, abs=1e-14)
+                assert eve_given_xb(p).entries[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_coherent_closed_form(self):
         p = ProtocolParams(v_r=1.0, v_a=1.0, eta=0.58)
-        assert eve_conditional_covariance(p).entries[0, 0] == pytest.approx(
-            EVE_COND_X_058, abs=1e-14)
+        assert eve_given_xb(p).entries[0, 0] == pytest.approx(EVE_COND_X_058, abs=1e-14)
 
     def test_large_detector_noise_approaches_unconditional(self):
         p = ProtocolParams(v_r=0.7, v_a=1.3, eta=0.6, v_n=1e9)
-        cond = eve_conditional_covariance(p).entries[0, 0]
+        cond = eve_given_xb(p).entries[0, 0]
         uncond = (p.v_r + p.v_a) * (1 - p.eta) + p.eta
         assert cond == pytest.approx(uncond, abs=1e-6)
 
@@ -181,6 +182,63 @@ class TestHolevo:
         assert at_dec > 0.0  # leakage cannot be fully eliminated with excess noise
         assert at_dec < holevo_eb(replace(base, v_a=1.5))
         assert at_dec < holevo_eb(replace(base, v_a=0.05))
+
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(v_r=0.5, v_a=1e300, eta=0.5, delta_v=1e300),
+        dict(v_r=1e-320, v_a=0.5, eta=0.5),
+        dict(v_r=0.5, v_a=1e200, eta=0.5, v_n=1e200),
+    ], ids=["product", "anti-squeezing", "conditional"])
+    def test_overflow_raises(self, kwargs):
+        # an infinite variance makes g(inf) nan; max(nan, 0.0) would pass it on
+        p = ProtocolParams(**kwargs)
+        with pytest.raises(ValueError, match="not finite"):
+            holevo_eb(p)
+        with pytest.raises(ValueError, match="not finite"):
+            security_report(p)
+
+
+class TestBitPins:
+    """float.hex of every output, recorded before the lossy bound became scalar.
+
+    The figure references run at v_n = delta_v = 0 only; these points pin the
+    v_n and delta_v terms of the lossy bound and two excess-noise points.  The
+    second and third lossy points change if v_n (1-eta) V is reassociated.
+    """
+
+    CASES = [
+        (dict(v_r=0.5, v_a=0.8, eta=0.37, delta_v=1.5, v_n=0.2),
+         ["0x1.7a0c68794fc4ep-3", "0x1.6c84295e92c80p-7", "0x1.634425e366986p-3",
+          "0x1.b90302c6fdefap-7", "0x1.b20f124d14744p-2", "0x1.40486b6b67f5dp-7",
+          "0x1.9755522746518p-2", "0x1.15182135197f2p-1"]),
+        (dict(v_r=0.5, v_a=2.5, eta=0.05, delta_v=0.5, v_n=0.2, beta=0.95),
+         ["0x1.2ab3dbec6e2fap-4", "0x1.41e701b605e80p-5", "0x1.eb43d9e3307e8p-6",
+          "0x1.9cdc02b75798cp-5", "0x1.a34f72c234f73p-1", "0x1.3194f204254b1p-5",
+          "0x1.3b9add2b169d6p+0", "0x1.b460028627a80p-3"]),
+        (dict(v_r=0.8, v_a=0.8, eta=0.6, delta_v=4.0, v_n=0.6),
+         ["0x1.9efb8de65cc84p-3", "0x1.e1594a0c5af80p-6", "0x1.62d064a4d1694p-3",
+          "0x1.233921dffa9b7p-5", "0x1.0842108421084p-2", "0x1.abcbce0eb3382p-6",
+          "0x1.b8f8365185f98p-3", "0x1.9fb8ff76d1c7ep-1"]),
+        (dict(v_r=0.1, v_a=6.0, eta=0.6, delta_v=9.0, v_n=0.05, beta=0.9),
+         ["0x1.815a5539be901p+0", "0x1.04d56ad1092dcp-1", "0x1.b0cd2e96e76f2p-1",
+          "0x1.ff9b4aa56be35p-2", "0x1.9435e50d79434p-1", "0x1.ff6ec3a688542p-2",
+          "0x1.1fbc16b90267ep+0", "0x1.0e679b3b1f1f4p+1"]),
+        (dict(v_r=0.5, v_a=1.3, eta=0.4, delta_v=0.5, epsilon=0.035, v_n=0.1),
+         ["0x1.4cafd3b70f09dp-2", "0x1.eccf9e52cc310p-4", "0x1.a2f7d844b7fb2p-3",
+          "0x1.15a6b11f4958cp-4", "0x1.0c25961dcb49ap-1", "0x1.9ec9ee973bc34p-5",
+          "0x1.11f41b85aecffp-1", "0x1.1cb174aec9b72p-1"]),
+        (dict(v_r=0.3, v_a=0.7, eta=0.2, delta_v=2.0, epsilon=0.08, v_n=0.3, beta=0.95),
+         ["0x1.4c54f68191227p-4", "0x1.88c0a421cddc0p-5", "0x1.dd5b2d4258978p-6",
+          "0x1.9654cfbdc85eap-15", "0x1.1d93e371360e3p-1", "0x1.251cf8c793af2p-15",
+          "0x1.2d583d797601bp-1", "0x1.611199b322b56p-1"]),
+    ]
+
+    @pytest.mark.parametrize("kwargs,pinned", CASES)
+    def test_report_bits(self, kwargs, pinned):
+        p = ProtocolParams(**kwargs)
+        fields = security_report(p).as_dict()
+        assert [float(v).hex() for v in fields.values()] == pinned
+        assert float(holevo_eb(p)).hex() == pinned[list(fields).index("chi_e")]
 
 
 class TestMutualInformation:
@@ -250,23 +308,23 @@ class TestClassicalLeakage:
 
 class TestBuildJointState:
     def test_consistent_with_analytic_eve_block(self):
+        # eta + (1-eta)(v_r + v_a) and eta + (1-eta)(1/v_r + delta_v)
         p = ProtocolParams(v_r=0.5, v_a=0.8, eta=0.37, delta_v=1.5, v_n=0.2)
         joint = build_joint_state(p)
-        assert np.allclose(joint.submatrix([1]).entries, eve_covariance(p).entries,
+        assert np.allclose(joint.submatrix([1]).entries, np.diag([1.189, 2.575]),
                            atol=1e-14)
 
     def test_pipeline_matches_closed_forms(self):
+        # A lossy channel leaves her one diagonal mode, and the receiver's X
+        # moves only its X entry: holevo_eb's scalar closed form.
         rng = np.random.default_rng(8)
         for _ in range(200):
             p = random_params(rng)
-            joint = build_joint_state(p)
-            assert np.allclose(joint.submatrix([1]).entries,
-                               eve_covariance(p).entries, atol=1e-10)
-            noisy = np.array(joint.entries)
-            noisy[0, 0] += p.v_n
-            cond = condition_on_homodyne(CovarianceMatrix(noisy), 0, "X")
-            assert np.allclose(cond.entries, eve_conditional_covariance(p).entries,
-                               atol=1e-10)
+            eve = build_joint_state(p).submatrix([1]).entries
+            cond = eve_given_xb(p).entries
+            assert abs(eve[0, 1]) <= 1e-10 and abs(cond[0, 1]) <= 1e-10
+            assert cond[1, 1] == pytest.approx(eve[1, 1], abs=1e-10)
+            assert holevo_eb(p) == pytest.approx(pipeline_chi(p), abs=1e-10)
 
     def test_receiver_variance_with_excess_noise(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.035)
