@@ -52,8 +52,10 @@ from .protocol import (
     classical_leakage,
     decoupling_modulation,
     holevo_eb,
+    holevo_eb_series,
     key_rate_asymptotic,
     mutual_information_ab,
+    mutual_information_ab_series,
     optimal_modulation,
     quantum_mutual_information_eb,
     security_report,

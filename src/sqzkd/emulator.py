@@ -143,8 +143,9 @@ def _records(p: ProtocolParams, cfg: EmulationConfig, draw):
     x_a ~ N(0, v_a), the source quadratures x_r ~ N(0, v_r) and
     p_r ~ N(0, 1/v_r + delta_v), the environment mode's two quadratures
     (vacuum, or the eavesdropper's injected arm of variance W for excess
-    noise), one vacuum mode per imperfect detector and the electronic noise
-    x_n ~ N(0, v_n).  The channel mixes signal and environment as
+    noise), one vacuum mode per imperfect detector and, when v_n > 0, the
+    electronic noise x_n ~ N(0, v_n).  The channel mixes signal and
+    environment as
 
         x_b = sqrt(eta) (x_a + x_r) - sqrt(1-eta) e_x
         x_e = sqrt(1-eta) (x_a + x_r) + sqrt(eta) e_x
@@ -179,7 +180,8 @@ def _records(p: ProtocolParams, cfg: EmulationConfig, draw):
         x_e = te * x_e + re * draw(1.0)
         p_e = te * p_e + re * draw(1.0)
 
-    x_b = x_b + draw(math.sqrt(p.v_n))
+    if p.v_n > 0.0:
+        x_b = x_b + draw(math.sqrt(p.v_n))
     return x_a, x_b, p_b, x_e, p_e
 
 

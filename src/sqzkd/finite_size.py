@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 
 from .errors import ThresholdUndefinedError
 from .gaussian import snu_to_db
-from .protocol import ProtocolParams, holevo_eb, key_rate_asymptotic, mutual_information_ab
+from .protocol import (
+    ProtocolParams,
+    holevo_eb,
+    holevo_eb_series,
+    key_rate_asymptotic,
+    mutual_information_ab,
+    mutual_information_ab_series,
+)
 
 
 @dataclass(frozen=True)
@@ -120,14 +127,22 @@ def security_region(p_base: ProtocolParams, v_a_grid,
     information) are reported with beta_star = inf and marked insecure at any
     efficiency.  A point is secure when some beta in (0, 1] beats the
     threshold, i.e. beta_star < 1.
+
+    The grid is solved as one series (holevo_eb_series and
+    mutual_information_ab_series), bit-identical to solving each point alone.
     """
     grid = list(v_a_grid)
     if not grid:
         raise ValueError("modulation grid must be non-empty")
+    try:
+        solved = zip(holevo_eb_series(p_base, grid), mutual_information_ab_series(p_base, grid))
+    except (ValueError, RuntimeError):
+        # Solve point by point instead, so that the error raised is the one
+        # of the first failing point, whichever stage of the series failed.
+        solved = ((holevo_eb(q), mutual_information_ab(q))
+                  for q in (replace(p_base, v_a=v_a) for v_a in grid))
     points = []
-    for v_a in grid:
-        params = replace(p_base, v_a=v_a)
-        chi_e, i_ab = holevo_eb(params), mutual_information_ab(params)
+    for v_a, (chi_e, i_ab) in zip(grid, solved):
         star = _threshold_or_inf(chi_e, i_ab, fp)
         v_a_db = snu_to_db(v_a) if v_a > 0.0 else -math.inf
         points.append(RegionPoint(v_a=v_a, v_a_db=v_a_db, beta_star=star,

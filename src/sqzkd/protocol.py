@@ -27,8 +27,10 @@ import numpy as np
 from .gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
-    apply_beamsplitter,
-    condition_on_label,
+    _condition_on_labels,
+    _entropies,
+    _finite,
+    _mix,
     entropy_g,
     von_neumann_entropy,
 )
@@ -86,6 +88,17 @@ class ProtocolParams:
         return replace(self, v_a=v_a)
 
 
+def _modulations(p: ProtocolParams, v_a) -> np.ndarray:
+    """``v_a`` as a 1-D float array, each value checked as ProtocolParams checks p.v_a."""
+    values = np.asarray(v_a, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"modulations must be a 1-D sequence, got shape {values.shape}")
+    if not np.all((values >= 0.0) & np.isfinite(values)):
+        for value in values.tolist():
+            replace(p, v_a=value)  # raises ProtocolParams' error at the first bad value
+    return values
+
+
 @dataclass(frozen=True)
 class SecurityReport:
     """Derived security quantities for one protocol instance (bits per symbol)."""
@@ -136,23 +149,33 @@ def build_joint_state(p: ProtocolParams) -> CovarianceMatrix:
     electronic noise is *not* folded into the matrix; callers add it to the
     X_B entry when conditioning.
     """
+    return CovarianceMatrix(_joint_states(p, np.array([p.v_a]))[0])
+
+
+def _joint_states(p: ProtocolParams, v_a: np.ndarray) -> np.ndarray:
+    """build_joint_state's matrix at each modulation of ``v_a``, stacked (k, 2m, 2m), bit for bit."""
     w = environment_variance(p)
     if p.epsilon == 0.0:
-        before = source_covariance(p).tensor(CovarianceMatrix.vacuum(1))
+        environment = np.eye(2)
     else:
         c = math.sqrt(w * w - 1.0)
         # entangled pair (injected arm, kept arm): X-correlated, P-anticorrelated
-        pair = CovarianceMatrix(np.array([
+        environment = np.array([
             [w, 0.0, c, 0.0],
             [0.0, w, 0.0, -c],
             [c, 0.0, w, 0.0],
             [0.0, -c, 0.0, w],
-        ]))
-        before = source_covariance(p).tensor(pair)
+        ])
+    dim = 2 + environment.shape[0]
+    before = np.zeros((v_a.size, dim, dim))
+    before[:, 0, 0] = p.v_r + v_a  # the source as in source_covariance, then the environment
+    before[:, 1, 1] = p.anti_squeezed_variance
+    before[:, 2:, 2:] = environment
     # keeping the environment slot and retaining sqrt(eta) of it sends
     # sqrt(eta) S - sqrt(1-eta) E to the receiver's slot 0 and
-    # sqrt(1-eta) S + sqrt(eta) E to the eavesdropper's slot 1
-    return apply_beamsplitter(before, 1, 0, p.eta)
+    # sqrt(1-eta) S + sqrt(eta) E to the eavesdropper's slot 1; both
+    # matrices are checked, so that no overflow reaches the matrix product
+    return _finite(_mix(_finite(before), 1, 0, p.eta))
 
 
 def mutual_information_ab(p: ProtocolParams) -> float:
@@ -161,8 +184,22 @@ def mutual_information_ab(p: ProtocolParams) -> float:
     0.5 log2((eta v_a + eta v_r + v_n + 1 - eta + eta epsilon)
              / (eta v_r + v_n + 1 - eta + eta epsilon)).
     """
-    base = p.eta * p.v_r + p.v_n + 1.0 - p.eta + p.eta * p.epsilon
-    return 0.5 * math.log2((p.eta * p.v_a + base) / base)
+    return 0.5 * math.log2(_snr_ratio(p, p.v_a))
+
+
+def mutual_information_ab_series(p: ProtocolParams, v_a) -> list[float]:
+    """mutual_information_ab at each modulation of ``v_a``, the other parameters from ``p``.
+
+    Bit-identical to mutual_information_ab point by point.
+    """
+    return [0.5 * math.log2(ratio) for ratio in _snr_ratio(p, _modulations(p, v_a)).tolist()]
+
+
+def _snr_ratio(p: ProtocolParams, v_a):
+    """The argument of I_AB's log2, for a float or an array ``v_a``."""
+    eta = p.eta
+    base = eta * p.v_r + p.v_n + 1.0 - eta + eta * p.epsilon
+    return (eta * v_a + base) / base
 
 
 def _clamp_chi(chi: float) -> float:
@@ -186,11 +223,19 @@ def holevo_from_cm(cm: CovarianceMatrix, v_n: float = 0.0,
     v_n added to the x_B variance.  ``tol`` is the entropies' clamping band:
     the model default, or statistical for data.
     """
-    s_e = von_neumann_entropy(cm.submatrix(range(1, cm.n_modes)), tol)
-    rows = [0, *range(2, cm.entries.shape[0])]
-    labelled = cm.entries[np.ix_(rows, rows)]
-    labelled[0, 0] += v_n
-    return _clamp_chi(s_e - von_neumann_entropy(condition_on_label(labelled), tol))
+    if cm.n_modes < 2:
+        raise ValueError(f"need the receiver's mode and at least one more, got {cm.n_modes} mode")
+    return _holevo_stack(cm.entries[np.newaxis], v_n, tol)[0]
+
+
+def _holevo_stack(joint: np.ndarray, v_n: float, tol: float) -> list[float]:
+    """holevo_from_cm of each matrix of a (k, 2m, 2m) stack, bit for bit."""
+    s_e = _entropies(joint[:, 2:, 2:], tol)
+    rows = [0, *range(2, joint.shape[-1])]
+    labelled = joint[:, rows][:, :, rows]
+    labelled[:, 0, 0] += v_n
+    s_given_b = _entropies(_condition_on_labels(labelled), tol)
+    return [_clamp_chi(a - b) for a, b in zip(s_e, s_given_b)]
 
 
 def holevo_eb(p: ProtocolParams) -> float:
@@ -206,18 +251,47 @@ def holevo_eb(p: ProtocolParams) -> float:
     ValueError where a variance overflows double precision.
     """
     if p.epsilon == 0.0:
-        big_v = p.v_r + p.v_a
-        v_e_x = p.eta + (1.0 - p.eta) * big_v
-        v_e_p = p.eta + (1.0 - p.eta) * p.anti_squeezed_variance
-        v_eb_x = (big_v + p.v_n * (1.0 - p.eta) * big_v + p.eta * p.v_n) / \
-            (p.v_n + 1.0 - p.eta + p.eta * big_v)
-        return _clamp_chi(entropy_g(math.sqrt(v_e_x * v_e_p))
-                          - entropy_g(math.sqrt(v_eb_x * v_e_p)))
-    return holevo_from_cm(build_joint_state(p), p.v_n)
+        det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
+        return _clamp_chi(entropy_g(math.sqrt(det_e)) - entropy_g(math.sqrt(det_e_given_b)))
+    return _holevo_stack(_joint_states(p, np.array([p.v_a])), p.v_n, PHYSICALITY_TOL)[0]
+
+
+def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
+    """holevo_eb at each modulation of ``v_a``, the other parameters from ``p``.
+
+    One stacked solve for the whole series, bit-identical to holevo_eb point
+    by point: the lossy closed form runs element-wise, and with excess noise
+    one eigen-solve per entropy serves every joint state.
+    """
+    v_a = _modulations(p, v_a)
+    # numpy warns where Python floats do not; every overflow raises below anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.epsilon == 0.0:
+            det_e, det_e_given_b = _lossy_determinants(p, v_a)
+            return [_clamp_chi(entropy_g(math.sqrt(x)) - entropy_g(math.sqrt(y)))
+                    for x, y in zip(det_e.tolist(), det_e_given_b.tolist())]
+        return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)
+
+
+def _lossy_determinants(p: ProtocolParams, v_a):
+    """V_E^X V_E^P and V_{E|B}^X V_E^P of holevo_eb's lossy closed form, for a float or an array."""
+    eta, v_n = p.eta, p.v_n
+    loss = 1.0 - eta
+    big_v = p.v_r + v_a
+    v_e_x = eta + loss * big_v
+    v_e_p = eta + loss * p.anti_squeezed_variance
+    v_eb_x = (big_v + v_n * loss * big_v + eta * v_n) / (v_n + 1.0 - eta + eta * big_v)
+    return v_e_x * v_e_p, v_eb_x * v_e_p
 
 
 def shannon_leakage(correlation: float) -> float:
-    """Shannon information 0.5 log2(1 / (1 - C)) of a squared correlation C, inf at C >= 1."""
+    """Shannon information 0.5 log2(1 / (1 - C)) of a squared correlation C, inf at C >= 1.
+
+    Raises ValueError on a C that is not finite, as overflowing moments give.
+    """
+    if not math.isfinite(correlation):
+        raise ValueError(f"squared correlation computed as {correlation!r} is not finite: "
+                         "a moment overflows double precision")
     if correlation >= 1.0:
         return math.inf
     return 0.5 * math.log2(1.0 / (1.0 - correlation))

@@ -238,14 +238,14 @@ class TestFig4:
         assert min(float(r["v_a_db"]) for r in table) == -20.0
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls of sqzkd functions under every module name bound to them."""
-    calls = dict.fromkeys(names, 0)
+def _record_calls(monkeypatch, names):
+    """Record the positional arguments of each call of sqzkd functions, under every bound name."""
+    calls = {name: [] for name in names}
     for name in names:
         original = getattr(protocol, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _original(*args, **kwargs)
 
         for module in (protocol, finite_size, cli):
@@ -276,11 +276,16 @@ class TestFig4OneSolvePerPoint:
                 assert row[column] == _expected_threshold_cell(point, fp)
 
     def test_default_sweep_solves_each_point_once(self, capsys, tmp_path, monkeypatch):
-        calls = _count_calls(monkeypatch, ("holevo_eb", "mutual_information_ab"))
+        calls = _record_calls(monkeypatch, ("holevo_eb", "mutual_information_ab",
+                                            "holevo_eb_series", "mutual_information_ab_series"))
         target = tmp_path / "fig4.csv"
         code, _, _ = run(capsys, "fig4", "--out", str(target))
         assert code == 0
-        assert calls == {"holevo_eb": 212, "mutual_information_ab": 212}
+        # one stacked call per (protocol, epsilon) series, 212 points in all
+        points = {name: [len(args[1]) for args in c] if name.endswith("_series") else len(c)
+                  for name, c in calls.items()}
+        assert points == {"holevo_eb": 0, "mutual_information_ab": 0,
+                          "holevo_eb_series": [53] * 4, "mutual_information_ab_series": [53] * 4}
         monkeypatch.undo()
         decoupling_db = snu_to_db(decoupling_modulation(0.5))
         self._check_cells(read_csv(target), _db_grid(decoupling_db, 10.0, 0.25, decoupling_db))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sqzkd.errors import ThresholdUndefinedError
+from sqzkd.errors import ThresholdUndefinedError, UnphysicalStateError
 from sqzkd.finite_size import (
     FiniteSizeParams,
     beta_threshold,
@@ -13,7 +13,13 @@ from sqzkd.finite_size import (
     key_rate_finite,
     security_region,
 )
-from sqzkd.protocol import ProtocolParams, holevo_eb, key_rate_asymptotic, mutual_information_ab
+from sqzkd.protocol import (
+    ProtocolParams,
+    holevo_eb,
+    holevo_eb_series,
+    key_rate_asymptotic,
+    mutual_information_ab,
+)
 
 # mpmath oracle, 40 significant digits, frozen:
 # 7 sqrt(log2(2e10) / 1e10) + (2 / 1e10) log2(1e10)
@@ -175,3 +181,33 @@ class TestSecurityRegion:
         grid = [2.0, 1.0, 0.5]
         points = security_region(p, grid)
         assert [pt.v_a for pt in points] == grid
+
+    LOSSY = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5)
+    NOISY = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5, epsilon=0.035)
+    # eta near 1 with excess noise: the S(E | x_B) spectrum dips below 1 at
+    # v_a >= 0.5 (ROADMAP item 4), while v_a = 0.1 still solves
+    EDGE = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.999999, epsilon=0.035)
+
+    @pytest.mark.parametrize("base, grid, error", [
+        (LOSSY, [1.0, -0.5, 2.0], ValueError),
+        (LOSSY, [1.0, math.nan], ValueError),
+        (NOISY, [1.0, math.inf], ValueError),
+        (replace(LOSSY, delta_v=1e300), [1.0, 1e300], ValueError),
+        (EDGE, [0.1, 0.5, 1.0], UnphysicalStateError),
+        # the stacked solve meets the overflow of 1e300 in an earlier stage
+        # than the unphysical spectrum of 0.5
+        (EDGE, [0.5, 1e300], UnphysicalStateError),
+    ], ids=["negative", "nan", "inf", "overflow", "unphysical", "first-point-first"])
+    def test_bad_point_raises_as_alone(self, base, grid, error):
+        with pytest.raises(error) as alone:
+            for v_a in grid:
+                point = replace(base, v_a=v_a)
+                holevo_eb(point), mutual_information_ab(point)
+        with pytest.raises(error) as series:
+            security_region(base, grid)
+        assert type(series.value) is type(alone.value)
+        assert str(series.value) == str(alone.value)
+
+    def test_series_checks_modulations(self):
+        with pytest.raises(ValueError, match="v_a must be finite and >= 0, got -0.5"):
+            holevo_eb_series(self.NOISY, [1.0, -0.5])

@@ -9,6 +9,7 @@ high-precision (mpmath, 40 digits) evaluations of the closed forms.
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,6 +34,14 @@ from sqzkd.gaussian import (
 G_AT_1_19164 = 0.46886990338720044134
 G_AT_2 = 1.3774437510817342722
 THREE_DB_SNU = 1.9952623149688796014
+
+
+def mpmath_entropy_g(nu):
+    """g(nu) at 50 significant digits."""
+    with mpmath.workdps(50):
+        a = (mpmath.mpf(nu) + 1) / 2
+        b = (mpmath.mpf(nu) - 1) / 2
+        return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
 
 
 def dense_symplectic_oracle(matrix):
@@ -172,6 +181,11 @@ class TestEntropyG:
     def test_rejects_unphysical(self):
         with pytest.raises(UnphysicalStateError):
             entropy_g(0.9)
+
+    @pytest.mark.parametrize("nu", [1e6, 1e13, 1e16])
+    def test_large_nu_without_cancellation(self, nu):
+        # a log2 a - b log2 b loses 5e-10 bits at 1e6 and all of them at 1e16
+        assert entropy_g(nu) == pytest.approx(float(mpmath_entropy_g(nu)), rel=0, abs=1e-13)
 
     def test_strictly_increasing(self):
         grid = [1.0 + 0.05 * k for k in range(60)]

@@ -20,12 +20,14 @@ from sqzkd.emulator import (
     expected_record_covariance,
     security_from_data,
 )
+from sqzkd.finite_size import security_region
 from sqzkd.gaussian import CovarianceMatrix, apply_beamsplitter
 from sqzkd.protocol import (
     ProtocolParams,
     build_joint_state,
     classical_leakage,
     holevo_eb,
+    mutual_information_ab,
     security_report,
 )
 
@@ -37,6 +39,7 @@ delta_v_values = st.floats(0.0, 10.0)
 v_n_values = st.floats(0.0, 1.0)
 epsilon_values = st.one_of(st.just(0.0), st.floats(0.0, 0.1))
 efficiency_values = st.floats(0.0, 1.0, exclude_min=True)
+v_a_series = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12)
 
 
 @PROPERTY_SETTINGS
@@ -53,6 +56,30 @@ def test_holevo_bounds_classical_leakage(v_r, v_a, eta, delta_v, v_n, epsilon):
 def test_holevo_vanishes_at_decoupling(v_r, eta, delta_v, v_n):
     p = ProtocolParams(v_r=v_r, v_a=1.0 - v_r, eta=eta, delta_v=delta_v, v_n=v_n)
     assert holevo_eb(p) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=st.floats(0.0, 10.0, exclude_min=True),
+       v_n=st.floats(0.0, 1.0, exclude_min=True), epsilon=epsilon_values, grid=v_a_series)
+def test_region_series_equals_points_bit_for_bit(v_r, eta, delta_v, v_n, epsilon, grid):
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    for v_a, point in zip(grid, security_region(p, grid), strict=True):
+        alone = replace(p, v_a=v_a)
+        assert point.chi_e.hex() == holevo_eb(alone).hex()
+        assert point.i_ab.hex() == mutual_information_ab(alone).hex()
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
+       epsilon=epsilon_values, beta=st.floats(0.0, 1.0, exclude_min=True), grid=v_a_series)
+def test_key_rate_below_plob_bound(v_r, eta, delta_v, v_n, epsilon, beta, grid):
+    # No protocol beats the repeaterless capacity -log2(1 - eta) of a lossy
+    # channel (Pirandola et al., Nat. Commun. 8, 15043, 2017); a rate above
+    # it would underestimate the eavesdropper.
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    capacity = -math.log2(1.0 - eta)
+    for point in security_region(p, grid):
+        assert beta * point.i_ab - point.chi_e <= capacity
 
 
 @PROPERTY_SETTINGS

@@ -8,6 +8,7 @@ evaluations, and against sampled moments from the emulator.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +36,12 @@ from sqzkd.protocol import (
 CHI_COHERENT_058 = 0.12575666580699362994
 IAB_HALF = 0.20751874963942190927  # 0.5 * log2(4/3)
 EVE_COND_X_058 = 1.2658227848101265823  # 2 / 1.58
+
+
+def mpmath_entropy_g(nu):
+    """g(nu) of an mpmath value, at the working precision."""
+    a, b = (nu + 1) / 2, (nu - 1) / 2
+    return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
 
 
 def eve_given_xb(p):
@@ -198,6 +205,20 @@ class TestHolevo:
             security_report(p)
 
 
+    def test_huge_variances_match_mpmath(self):
+        # S(E) alone loses precision here unless g avoids cancellation; the
+        # cancelling form gave 36.98 bits, an overestimate
+        p = ProtocolParams(v_r=0.5, v_a=1e16, eta=0.5, delta_v=1e16)
+        with mpmath.workdps(50):
+            v_r, v_a, eta, delta_v = (mpmath.mpf(x) for x in (p.v_r, p.v_a, p.eta, p.delta_v))
+            big_v = v_r + v_a
+            v_e_p = eta + (1 - eta) * (1 / v_r + delta_v)
+            nu_e = mpmath.sqrt((eta + (1 - eta) * big_v) * v_e_p)
+            nu_e_given_b = mpmath.sqrt(big_v / (1 - eta + eta * big_v) * v_e_p)
+            want = mpmath_entropy_g(nu_e) - mpmath_entropy_g(nu_e_given_b)
+        assert holevo_eb(p) == pytest.approx(float(want), rel=0, abs=1e-12)
+
+
 class TestBitPins:
     """float.hex of every output, recorded before the lossy bound became scalar.
 
@@ -288,6 +309,13 @@ class TestClassicalLeakage:
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
         with pytest.raises(ValueError, match="party"):
             classical_leakage(p, "E")
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_overflowing_moment_raises(self, party):
+        # the squared cross moment and the variance product both overflow: inf / inf
+        p = ProtocolParams(v_r=0.5, v_a=1e200, eta=0.5)
+        with pytest.raises(ValueError, match="correlation computed as nan is not finite"):
+            classical_leakage(p, party)
 
     def test_against_sampled_moments(self):
         # coherent protocol, eta = 0.5: compare against a 1e7-sample estimate
