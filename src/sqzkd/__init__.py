@@ -59,7 +59,6 @@ from .protocol import (
     optimal_modulation,
     quantum_mutual_information_eb,
     security_report,
-    source_covariance,
 )
 
 __version__ = "0.1.0"

@@ -64,10 +64,6 @@ class CovarianceMatrix:
         return self.entries.shape[0] // 2
 
     @classmethod
-    def vacuum(cls, n_modes: int = 1) -> "CovarianceMatrix":
-        return cls(np.eye(2 * n_modes))
-
-    @classmethod
     def from_diagonal(cls, diagonal) -> "CovarianceMatrix":
         return cls(np.diag(np.asarray(diagonal, dtype=float)))
 
@@ -77,14 +73,6 @@ class CovarianceMatrix:
         for m in modes:
             idx.extend((2 * m, 2 * m + 1))
         return CovarianceMatrix(self.entries[np.ix_(idx, idx)])
-
-    def tensor(self, other: "CovarianceMatrix") -> "CovarianceMatrix":
-        """Direct sum with another state's covariance matrix (appended modes)."""
-        a, b = self.entries, other.entries
-        out = np.zeros((a.shape[0] + b.shape[0],) * 2)
-        out[:a.shape[0], :a.shape[0]] = a
-        out[a.shape[0]:, a.shape[0]:] = b
-        return CovarianceMatrix(out)
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:

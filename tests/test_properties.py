@@ -111,7 +111,9 @@ def quantum_model_record_covariance(p, cfg):
     """
     joint = build_joint_state(p)
     eta_b, eta_e = cfg.detector_efficiencies()
-    state = joint.tensor(CovarianceMatrix.vacuum(2))
+    dim = joint.entries.shape[0]
+    state = CovarianceMatrix(np.block([[joint.entries, np.zeros((dim, 4))],
+                                       [np.zeros((4, dim)), np.eye(4)]]))
     state = apply_beamsplitter(state, 0, joint.n_modes, eta_b)
     state = apply_beamsplitter(state, 1, joint.n_modes + 1, eta_e)
     cross = [math.sqrt(p.eta * eta_b) * p.v_a, 0.0,

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from sqzkd.emulator import EmulationConfig, generate_samples
+from sqzkd.errors import (
+    DegenerateMeasurementError,
+    SymplecticPairingError,
+    UnphysicalStateError,
+)
 from sqzkd.gaussian import (
+    CovarianceMatrix,
     condition_on_label,
     symplectic_eigenvalues,
     von_neumann_entropy,
@@ -24,12 +30,14 @@ from sqzkd.protocol import (
     classical_leakage,
     decoupling_modulation,
     holevo_eb,
+    holevo_eb_series,
+    holevo_from_cm,
     key_rate_asymptotic,
     mutual_information_ab,
+    mutual_information_ab_series,
     optimal_modulation,
     quantum_mutual_information_eb,
     security_report,
-    source_covariance,
 )
 
 # mpmath oracles, 40 significant digits, frozen
@@ -90,7 +98,7 @@ class TestProtocolParams:
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = random_params(rng)
-            cm = source_covariance(p)
+            cm = CovarianceMatrix.from_diagonal([p.v_r + p.v_a, p.anti_squeezed_variance])
             assert cm.entries[0, 0] * cm.entries[1, 1] >= 1.0 - 1e-12
 
 
@@ -260,6 +268,43 @@ class TestBitPins:
         fields = security_report(p).as_dict()
         assert [float(v).hex() for v in fields.values()] == pinned
         assert float(holevo_eb(p)).hex() == pinned[list(fields).index("chi_e")]
+
+
+class TestHolevoFromCmErrors:
+    """Error type and message for a bad (B, E) matrix, recorded while S(E) was solved first.
+
+    S(E)'s error comes before any error of the conditioning on x_B or of
+    S(E | x_B), whatever order the stages run in.
+    """
+
+    CASES = [
+        # E block indefinite; conditioning on x_B would report -1.125
+        ([[2.0, 0.0, 0.5, 0.0], [0.0, 2.0, 0.0, 0.0],
+          [0.5, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], 0.0,
+         SymplecticPairingError,
+         "covariance matrix is not positive definite (min eigenvalue -1, condition number 1)"),
+        # x_B variance -0.5 + v_n is not positive; E is the vacuum
+        ([[-0.5, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+          [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], 0.2,
+         DegenerateMeasurementError, "label variance -0.3 is not positive"),
+        # both at once: S(E)'s error wins
+        ([[-0.5, 0.0, 0.5, 0.0], [0.0, 2.0, 0.0, 0.0],
+          [0.5, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], 0.2,
+         SymplecticPairingError,
+         "covariance matrix is not positive definite (min eigenvalue -1, condition number 1)"),
+        # E below the uncertainty bound, E given x_B not even positive definite
+        ([[1.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+          [1.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]], 0.0,
+         UnphysicalStateError, "symplectic eigenvalue 0.5 is below 1 beyond the tolerance 1e-09"),
+    ]
+
+    @pytest.mark.parametrize("entries,v_n,error,message", CASES,
+                             ids=["e-indefinite", "xb-degenerate", "both", "e-unphysical"])
+    def test_error_precedence(self, entries, v_n, error, message):
+        with pytest.raises(error) as caught:
+            holevo_from_cm(CovarianceMatrix(np.array(entries)), v_n)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestMutualInformation:
@@ -445,6 +490,44 @@ class TestOptimalModulation:
         k = int(np.argmax(rates))
         assert v_star == pytest.approx(grid[k], abs=2e-4)
         assert rate_star == pytest.approx(rates[k], abs=1e-10)
+
+    def test_matches_dense_grid_scan_with_excess_noise(self):
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05, beta=0.75)
+        v_star, rate_star = optimal_modulation(p, (0.0, 10.0))
+        grid = np.arange(0.0, 10.0 + 1e-12, 1e-4)
+        # the series equal key_rate_asymptotic point by point (test_properties.py)
+        rates = []
+        for chunk in np.array_split(grid, 20):
+            rates += [p.beta * i_ab - chi for i_ab, chi in zip(
+                mutual_information_ab_series(p, chunk), holevo_eb_series(p, chunk))]
+        k = int(np.argmax(rates))
+        assert 0 < k < grid.size - 1
+        assert v_star == pytest.approx(grid[k], abs=2e-4)
+        assert rate_star == pytest.approx(rates[k], abs=1e-10)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_rate_is_key_rate_at_the_optimum(self, epsilon):
+        p = ProtocolParams(v_r=0.3, v_a=0.7, eta=0.4, delta_v=0.5, epsilon=epsilon,
+                           v_n=0.1, beta=0.92)
+        v_star, rate = optimal_modulation(p, (0.0, 10.0))
+        assert rate.hex() == key_rate_asymptotic(replace(p, v_a=v_star)).hex()
+
+    @pytest.mark.parametrize("v_a_range,tol", [
+        ((0.0, 10.0), 1e-16),
+        ((1e10, 1e10 + 1.0), 1e-9),
+    ], ids=["tol-below-spacing", "wide-spacing"])
+    def test_tolerance_below_float_spacing_ends(self, v_a_range, tol):
+        # no round can narrow a bracket of adjacent floats
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, beta=0.9)
+        v_star, rate = optimal_modulation(p, v_a_range, tol=tol)
+        assert v_a_range[0] <= v_star <= v_a_range[1]
+        assert math.isfinite(v_star) and math.isfinite(rate)
+
+    def test_overflowing_range_raises(self):
+        # the joint state's entries overflow near v_a = 1e300 with excess noise
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05)
+        with pytest.raises(ValueError, match="finite"):
+            optimal_modulation(p, (0.0, 1e300))
 
     def test_degenerate_range(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
