@@ -19,6 +19,10 @@ determines the output across platforms and numpy versions.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +46,8 @@ XA, XB, PB, XE, PE = range(5)
 
 # Records formatted by one ``%`` operation when writing the samples CSV.
 _CSV_BLOCK_ROWS = 4096
+# Records that justify one more writer process for the samples CSV.
+_CSV_ROWS_PER_WRITER = 65536
 
 
 @dataclass(frozen=True)
@@ -105,14 +111,102 @@ class SampleBatch:
         The bytes are those of ``np.savetxt(path, self.columns(), fmt="%.12g",
         delimiter=",", header=..., comments="")`` with ``\\n`` line ends.  Rows
         are formatted a block at a time, with one ``%`` per block.
+
+        Formatting holds the interpreter lock, so large batches are split
+        into contiguous block-aligned row ranges, one per usable core.  This
+        process writes the first range into ``path``; a forked child writes
+        each other range into a temporary part file beside it, and the parts
+        are appended in order.  Every range runs the same block loop, so the
+        bytes do not depend on the number of writers.  A child that fails
+        makes this raise ``OSError`` naming ``path``; whichever writer fails,
+        every child is reaped and every part file removed before the error
+        propagates.
         """
         columns = [getattr(self, name) for name in self.CSV_COLUMNS]
-        row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for start in range(0, self.n_samples, _CSV_BLOCK_ROWS):
-                block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-                fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        bounds = _writer_bounds(self.n_samples)
+        directory = os.path.dirname(os.path.abspath(path))
+        parts, pids = [], []
+        try:
+            try:
+                for start, stop in zip(bounds[1:-1], bounds[2:]):
+                    fd, part = tempfile.mkstemp(prefix=".samples-", suffix=".part",
+                                                dir=directory)
+                    parts.append(part)
+                    pids.append(_fork_writer(fd, columns, start, stop))
+                with open(path, "w", encoding="ascii", newline="") as fh:
+                    fh.write(",".join(self.CSV_COLUMNS) + "\n")
+                    _write_rows(fh, columns, bounds[0], bounds[1])
+            finally:
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            failed = [code for code in codes if code != 0]
+            if failed:
+                raise OSError(f"{path}: {len(failed)} of {len(codes)} CSV writer "
+                              f"processes failed (exit codes {failed})")
+            with open(path, "ab") as out:
+                for part in parts:
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, out)
+        finally:
+            for part in parts:
+                os.remove(part)
+
+
+def _writer_bounds(n_rows: int) -> list[int]:
+    """Row bounds of the samples-CSV writers; writer k formats rows [b[k], b[k + 1]).
+
+    One writer per usable core and per ``_CSV_ROWS_PER_WRITER`` rows, and
+    one writer where fork is missing or unsafe because Python threads run.
+    Every range starts on a block edge; trailing ranges may be empty.
+    """
+    writers = 1
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        writers = max(1, min(len(os.sched_getaffinity(0)), n_rows // _CSV_ROWS_PER_WRITER))
+    blocks = -(-n_rows // _CSV_BLOCK_ROWS)
+    rows_per_writer = -(-blocks // writers) * _CSV_BLOCK_ROWS
+    return [min(k * rows_per_writer, n_rows) for k in range(writers + 1)]
+
+
+def _write_rows(fh, columns, start: int, stop: int) -> None:
+    """Format rows [start, stop) of ``columns`` into ``fh``, one ``%`` per block."""
+    row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    for lo in range(start, stop, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, stop)
+        block = np.column_stack([c[lo:hi] for c in columns])
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _fork_writer(fd: int, columns, start: int, stop: int) -> int:
+    """Fork a child that writes rows [start, stop) to the file ``fd``; return its pid.
+
+    The child only runs ``_write_rows`` and leaves through ``os._exit``: it
+    never returns into the caller's stack, runs no ``atexit`` handler and
+    flushes none of the parent's stdio buffers.  Its exit status is 0 once
+    the rows are written and flushed, 1 otherwise.
+    """
+    # fork rather than a spawn pool: spawn re-imports the caller's main
+    # module, so every script calling write_csv would need a __main__ guard,
+    # and it also wrote 1e6 rows more slowly on a 2-vCPU Xeon (1.20-1.54 s
+    # against 0.96-1.17 s forked, 1.94-2.33 s serial).  fork is unsafe while
+    # other threads run; _writer_bounds falls back to one writer when Python
+    # threads exist, and numpy's OpenBLAS stops its own pool in a
+    # pthread_atfork handler, so the child starts with the forking thread
+    # alone and Python 3.12+ has no threads to warn about.
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with open(fd, "w", encoding="ascii", newline="") as fh:
+                _write_rows(fh, columns, start, stop)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(fd)
+    return pid
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import os
+import re
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sqzkd import emulator
 from sqzkd.cli import main
 from sqzkd.emulator import (
     XB, XE,
@@ -337,3 +342,111 @@ class TestCsvExport:
         written = (tmp_path / "pin_samples.csv").read_bytes()
         assert len(written) == size
         assert hashlib.sha256(written).hexdigest() == digest
+
+
+@pytest.fixture
+def three_writers(monkeypatch):
+    """Split every samples CSV over three writers, whatever this machine has.
+
+    Warnings are errors, so a fork warning (Python 3.12+) fails the test.
+    Yields the list of pids ``os.fork`` returned to the parent.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(emulator, "_CSV_ROWS_PER_WRITER", 1)
+    forked, real_fork = [], os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid != 0:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield forked
+
+
+def assert_all_children_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split path needs os.fork")
+class TestForkedCsvWriters:
+    @pytest.mark.parametrize("n, writers", [(2, 2), (_CSV_BLOCK_ROWS - 1, 3),
+                                            (_CSV_BLOCK_ROWS, 3), (_CSV_BLOCK_ROWS + 1, 3),
+                                            (2 * _CSV_BLOCK_ROWS + 3, 3)])
+    def test_bytes_equal_savetxt(self, three_writers, tmp_path, n, writers):
+        bounds = emulator._writer_bounds(n)
+        assert len(bounds) == writers + 1
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(b % _CSV_BLOCK_ROWS == 0 or b == n for b in bounds)
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=23))
+        path = tmp_path / "batch.csv"
+        batch.write_csv(path)
+        assert len(three_writers) == writers - 1
+        assert path.read_bytes() == TestCsvExport._savetxt_bytes(batch, tmp_path / "ref.csv")
+        assert sorted(os.listdir(tmp_path)) == ["batch.csv", "ref.csv"]
+        assert_all_children_reaped()
+
+    def test_ranges_include_empty_ones(self, three_writers):
+        # n = 4095 fills one block: the second and third writers get no rows.
+        assert emulator._writer_bounds(_CSV_BLOCK_ROWS - 1) == [0, 4095, 4095, 4095]
+
+    @pytest.mark.parametrize(
+        *next(mark.args for mark in TestCsvExport.test_pinned_bytes_of_emulate_samples.pytestmark
+              if mark.name == "parametrize"))
+    def test_pinned_bytes_of_emulate_samples(self, three_writers, tmp_path, capsys,
+                                             flags, size, digest):
+        TestCsvExport().test_pinned_bytes_of_emulate_samples(tmp_path, capsys, flags,
+                                                             size, digest)
+        assert len(three_writers) == 2
+        assert sorted(os.listdir(tmp_path)) == ["pin_reconstruction.json",
+                                                "pin_report.json", "pin_samples.csv"]
+        assert_all_children_reaped()
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_writer_raises_and_cleans_up(self, three_writers, tmp_path, monkeypatch,
+                                                failing):
+        # A child inherits the patched module, so either side can be made to fail.
+        real_write_rows = emulator._write_rows
+
+        def write_rows(fh, columns, start, stop):
+            if (start > 0) == (failing == "child"):
+                raise RuntimeError("formatting failed")
+            real_write_rows(fh, columns, start, stop)
+
+        monkeypatch.setattr(emulator, "_write_rows", write_rows)
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
+                                                            seed=23))
+        path = tmp_path / "batch.csv"
+        if failing == "child":
+            expected = pytest.raises(OSError, match=re.escape(str(path)))
+        else:
+            expected = pytest.raises(RuntimeError, match="formatting failed")
+        with expected:
+            batch.write_csv(path)
+        assert len(three_writers) == 2
+        assert os.listdir(tmp_path) == ["batch.csv"]
+        assert_all_children_reaped()
+
+    def test_no_fork_while_a_thread_runs(self, three_writers, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked while another Python thread was running")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
+                                                            seed=23))
+        path = tmp_path / "batch.csv"
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            batch.write_csv(path)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert path.read_bytes() == TestCsvExport._savetxt_bytes(batch, tmp_path / "ref.csv")
+        assert sorted(os.listdir(tmp_path)) == ["batch.csv", "ref.csv"]
