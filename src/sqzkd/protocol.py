@@ -383,6 +383,13 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
     happens once ``tol`` is below the float spacing there.  Returns the
     bracket's midpoint and key_rate_asymptotic there.  The searched rate must
     be finite everywhere on the interval.
+
+    ``tol`` bounds the width of the final bracket, not the distance to the
+    true optimum: where the rate is flat to float precision, the grid's best
+    point is decided by rounding noise.  With excess noise the rate changes
+    by about 1e-12 within +-1e-5 of the optimum, so the returned v_a can lie
+    up to about 1e-5 from it whatever ``tol`` is; the returned rate is still
+    within float noise of the maximum.
     """
     lo, hi = float(v_a_range[0]), float(v_a_range[1])
     if lo < 0.0 or hi < lo:

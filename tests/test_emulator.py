@@ -346,7 +346,7 @@ class TestCsvExport:
 
 @pytest.fixture
 def three_writers(monkeypatch):
-    """Split every samples CSV over three writers, whatever this machine has.
+    """Split every samples CSV over three writers, whatever cores the host has.
 
     Warnings are errors, so a fork warning (Python 3.12+) fails the test.
     Yields the list of pids ``os.fork`` returned to the parent.
