@@ -46,8 +46,13 @@ XA, XB, PB, XE, PE = range(5)
 
 # Records formatted by one ``%`` operation when writing the samples CSV.
 _CSV_BLOCK_ROWS = 4096
-# Records that justify one more writer process for the samples CSV.
-_CSV_ROWS_PER_WRITER = 65536
+# Records that justify one more writer process for the samples CSV.  On a
+# 2-vCPU Xeon, two writers formatted 16 384 records as fast as one (17 of 31
+# alternating runs faster), and 20 480 or more faster in 30 of 31 runs and
+# by 27-44 %; three blocks per writer keeps a margin above that crossover.
+_CSV_ROWS_PER_WRITER = 3 * _CSV_BLOCK_ROWS
+# Exit status of a CSV writer process that failed without an errno.
+_WRITER_FAILED = 255
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,9 @@ class SampleBatch:
         each other range into a temporary part file beside it, and the parts
         are appended in order.  Every range runs the same block loop, so the
         bytes do not depend on the number of writers.  A child that fails
-        makes this raise ``OSError`` naming ``path``; whichever writer fails,
+        prints its traceback on standard error and makes this raise
+        ``OSError`` naming ``path``, with the child's errno where its error
+        had one (e.g. ENOSPC for a full disk); whichever writer fails,
         every child is reaped and every part file removed before the error
         propagates.
         """
@@ -140,8 +147,7 @@ class SampleBatch:
                 codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
             failed = [code for code in codes if code != 0]
             if failed:
-                raise OSError(f"{path}: {len(failed)} of {len(codes)} CSV writer "
-                              f"processes failed (exit codes {failed})")
+                raise _writer_error(path, len(codes), failed)
             with open(path, "ab") as out:
                 for part in parts:
                     with open(part, "rb") as src:
@@ -182,7 +188,9 @@ def _fork_writer(fd: int, columns, start: int, stop: int) -> int:
     The child only runs ``_write_rows`` and leaves through ``os._exit``: it
     never returns into the caller's stack, runs no ``atexit`` handler and
     flushes none of the parent's stdio buffers.  Its exit status is 0 once
-    the rows are written and flushed, 1 otherwise.
+    the rows are written and flushed.  On failure it prints the traceback on
+    file descriptor 2 and exits with the errno of an ``OSError`` such as
+    ENOSPC, or with ``_WRITER_FAILED`` for any other error.
     """
     # fork rather than a spawn pool: spawn re-imports the caller's main
     # module, so every script calling write_csv would need a __main__ guard,
@@ -198,15 +206,36 @@ def _fork_writer(fd: int, columns, start: int, stop: int) -> int:
         os.close(fd)
         raise
     if pid == 0:
-        status = 1
+        status = _WRITER_FAILED
         try:
             with open(fd, "w", encoding="ascii", newline="") as fh:
                 _write_rows(fh, columns, start, stop)
             status = 0
+        except BaseException as exc:
+            if isinstance(exc, OSError) and exc.errno in range(1, _WRITER_FAILED):
+                status = exc.errno
+            # Imported only by a failing child; written straight to the
+            # descriptor because sys.stderr may buffer the parent's text.
+            import traceback
+            os.write(2, traceback.format_exc().encode(errors="replace"))
         finally:
             os._exit(status)
     os.close(fd)
     return pid
+
+
+def _writer_error(path, writers: int, failed: list[int]) -> OSError:
+    """The error for CSV writer processes that exited with the codes ``failed``.
+
+    It carries the errno of the first writer that exited with one, so that
+    e.g. a full disk reads as ENOSPC, as it does with one writer.
+    """
+    detail = (f"{len(failed)} of {writers} CSV writer processes failed "
+              f"(exit codes {failed}; see standard error)")
+    errnos = [code for code in failed if 0 < code < _WRITER_FAILED]
+    if errnos:
+        return OSError(errnos[0], f"{os.strerror(errnos[0])}: {detail}", str(path))
+    return OSError(f"{path}: {detail}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo emulation of the measured-data pipeline."""
 
+import errno
 import hashlib
 import math
 import os
@@ -390,6 +391,13 @@ class TestForkedCsvWriters:
         assert sorted(os.listdir(tmp_path)) == ["batch.csv", "ref.csv"]
         assert_all_children_reaped()
 
+    def test_emulate_default_size_is_split(self, monkeypatch):
+        # emulate's default --n-samples of 1e5 gets one writer per core; a
+        # batch too small for two writers' fork to pay off gets one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert len(emulator._writer_bounds(100_000)) == 3
+        assert len(emulator._writer_bounds(2 * emulator._CSV_ROWS_PER_WRITER - 1)) == 2
+
     def test_ranges_include_empty_ones(self, three_writers):
         # n = 4095 fills one block: the second and third writers get no rows.
         assert emulator._writer_bounds(_CSV_BLOCK_ROWS - 1) == [0, 4095, 4095, 4095]
@@ -406,28 +414,49 @@ class TestForkedCsvWriters:
                                                 "pin_report.json", "pin_samples.csv"]
         assert_all_children_reaped()
 
-    @pytest.mark.parametrize("failing", ["child", "parent"])
-    def test_failed_writer_raises_and_cleans_up(self, three_writers, tmp_path, monkeypatch,
-                                                failing):
+    @staticmethod
+    def _fail_writers(monkeypatch, failing, error):
         # A child inherits the patched module, so either side can be made to fail.
         real_write_rows = emulator._write_rows
 
         def write_rows(fh, columns, start, stop):
             if (start > 0) == (failing == "child"):
-                raise RuntimeError("formatting failed")
+                raise error
             real_write_rows(fh, columns, start, stop)
 
         monkeypatch.setattr(emulator, "_write_rows", write_rows)
-        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
-                                                            seed=23))
+        return generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
+                                                           seed=23))
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_writer_raises_and_cleans_up(self, three_writers, tmp_path, monkeypatch,
+                                                capfd, failing):
+        batch = self._fail_writers(monkeypatch, failing, RuntimeError("formatting failed"))
         path = tmp_path / "batch.csv"
         if failing == "child":
             expected = pytest.raises(OSError, match=re.escape(str(path)))
         else:
             expected = pytest.raises(RuntimeError, match="formatting failed")
-        with expected:
+        with expected as excinfo:
             batch.write_csv(path)
         assert len(three_writers) == 2
+        assert os.listdir(tmp_path) == ["batch.csv"]
+        assert_all_children_reaped()
+        if failing == "child":
+            # Each failing child's traceback reaches the caller's standard error.
+            assert capfd.readouterr().err.count("RuntimeError: formatting failed") == 2
+            assert excinfo.value.errno is None
+
+    def test_child_errno_reaches_caller(self, three_writers, tmp_path, monkeypatch, capfd):
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        batch = self._fail_writers(monkeypatch, "child", full)
+        path = tmp_path / "batch.csv"
+        with pytest.raises(OSError) as excinfo:
+            batch.write_csv(path)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert excinfo.value.filename == str(path)
+        assert "2 of 2 CSV writer processes failed" in str(excinfo.value)
+        assert "No space left on device" in capfd.readouterr().err
         assert os.listdir(tmp_path) == ["batch.csv"]
         assert_all_children_reaped()
 
