@@ -5,12 +5,15 @@ exit codes and output formats.  argparse resolves every input: a flag's
 default is stated once, in its ``add_argument``, and ``--config`` turns the
 values of a JSON file into the chosen command's defaults before a second
 parse, so explicit flags win.  ``vars(args)`` is the resolved configuration.
+``main`` parses with one parser per process; a call with ``--config`` builds
+its own, because the config becomes that parser's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -153,20 +156,35 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit_rows(rows: list[dict], columns: list[str], fmt: str, out_path: str | None) -> None:
+def _json_cell(value):
+    """A cell as the JSON output holds it: a non-finite float as its text."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _table_rows(series, grid_rows, cell):
+    """A sweep's rows, every cell converted by ``cell``.
+
+    ``series`` holds ``(label cells, value cells per grid point)`` pairs and
+    ``grid_rows`` the grid's cells per point.  A row is the series' labels,
+    the point's grid cells, then its value cells.  Labels and grid cells
+    repeat across rows, so each is converted once.
+    """
+    grid = [[cell(c) for c in point] for point in grid_rows]
+    for labels, values in series:
+        head = [cell(c) for c in labels]
+        for point, cells in zip(grid, values):
+            yield [*head, *point, *map(cell, cells)]
+
+
+def _emit_rows(columns: list[str], series, grid_rows, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
-        safe = [
-            {k: (r[k] if not (isinstance(r[k], float) and not math.isfinite(r[k])) else str(r[k]))
-             for k in columns}
-            for r in rows
-        ]
-        text = json.dumps(safe, indent=2) + "\n"
+        rows = [dict(zip(columns, row)) for row in _table_rows(series, grid_rows, _json_cell)]
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[k]) for k in columns])
+        writer.writerows(_table_rows(series, grid_rows, _format_cell))
         text = buffer.getvalue()
     _write_text(out_path, text)
 
@@ -198,14 +216,14 @@ def _db_grid(min_db: float, max_db: float, step_db: float, insert: float | None 
     return sorted(values)
 
 
-def _sweep(args, series, columns: list[str], cells) -> int:
-    """Emit one row per modulation-grid point of each ``(labels, base params)`` series.
+def _sweep(args, labels: list[str], series, values: list[str], cells) -> int:
+    """Emit one row per modulation-grid point of each ``(label cells, base params)`` series.
 
     The dB grid holds the exact decoupling point of ``--squeezing``, and an
     unset ``--va-min-db`` (fig4) starts it there.  A coherent source has
     decoupling modulation 0: nothing is inserted, and such a grid starts at
     GRID_START_DB instead.  Each series is solved by one ``security_region``
-    call; ``cells`` maps a RegionPoint to the command's value columns.
+    call; ``cells`` maps a RegionPoint to the cells of the ``values`` columns.
     """
     decoupling_v_a = decoupling_modulation(args.squeezing)
     insert = snu_to_db(decoupling_v_a) if decoupling_v_a > 0.0 else None
@@ -214,10 +232,10 @@ def _sweep(args, series, columns: list[str], cells) -> int:
         lo = GRID_START_DB if insert is None else insert
     grid = _db_grid(lo, args.va_max_db, args.va_step_db, insert)
     v_a_grid = [db_to_snu(db) for db in grid]
-    rows = [{**labels, "v_a_db": db, "v_a_snu": point.v_a, **cells(point)}
-            for labels, base in series
-            for db, point in zip(grid, security_region(base, v_a_grid))]
-    _emit_rows(rows, columns, args.format, args.out)
+    solved = [(head, [cells(point) for point in security_region(base, v_a_grid)])
+              for head, base in series]
+    _emit_rows([*labels, "v_a_db", "v_a_snu", *values], solved, list(zip(grid, v_a_grid)),
+               args.format, args.out)
     return 0
 
 
@@ -234,12 +252,11 @@ def _modulation_sweep(args, column: str, value, fixed: dict) -> int:
     """fig2/fig3 rows: the coherent reference plus one squeezed series per transmission."""
     series = [("coherent", 1.0, COHERENT_REFERENCE_ETA, 0.0)]
     series += [("squeezed", args.squeezing, eta, args.dv) for eta in args.transmissions]
-    return _sweep(args,
-                  (({"protocol": name, "eta": eta, **fixed},
+    return _sweep(args, ["protocol", "eta", *fixed],
+                  (((name, eta, *fixed.values()),
                     ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=dv, v_n=args.vn, **fixed))
                    for name, v_r, eta, dv in series),
-                  ["protocol", "eta", *fixed, "v_a_db", "v_a_snu", column],
-                  lambda point: {column: value(point)})
+                  [column], lambda point: (value(point),))
 
 
 def cmd_fig2(args) -> int:
@@ -273,16 +290,15 @@ def cmd_fig4(args) -> int:
             raise ValueError(f"finite-size total {n_total:g} is given more than once")
         finite_columns[column] = fp
 
-    return _sweep(args,
-                  (({"protocol": name, "epsilon": epsilon},
+    return _sweep(args, ["protocol", "epsilon"],
+                  (((name, epsilon),
                     ProtocolParams(v_r=v_r, v_a=1.0, eta=args.eta, epsilon=epsilon, v_n=args.vn))
                    for name, v_r in (("squeezed", args.squeezing), ("coherent", 1.0))
                    for epsilon in args.eps),
-                  ["protocol", "epsilon", "v_a_db", "v_a_snu", "beta_star_asymptotic",
-                   *finite_columns, "secure_flag"],
-                  lambda point: {"beta_star_asymptotic": point.beta_star,
-                                 **{c: point.beta_star_at(fp) for c, fp in finite_columns.items()},
-                                 "secure_flag": point.secure})
+                  ["beta_star_asymptotic", *finite_columns, "secure_flag"],
+                  lambda point: (point.beta_star,
+                                 *(point.beta_star_at(fp) for fp in finite_columns.values()),
+                                 point.secure))
 
 
 def cmd_emulate(args) -> int:
@@ -492,11 +508,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     return parser, sub.choices
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The parser ``main`` reuses, built on its first call.
+
+    Built then rather than at import, so that it binds the ``cmd_*``
+    functions that are in this module at that time.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser, commands = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is not None and args.config is not None:
+            # set_config changes the command's defaults, which must not
+            # outlive this call: it gets a parser of its own.
+            parser, commands = build_parser()
             commands[args.command].set_config(args.config)
             args = parser.parse_args(argv)
     except SystemExit as exc:
