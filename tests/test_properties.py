@@ -59,6 +59,22 @@ def test_holevo_vanishes_at_decoupling(v_r, eta, delta_v, v_n):
 
 
 @PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
+       grid=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=60))
+def test_holevo_monotone_either_side_of_decoupling(v_r, eta, delta_v, v_n, grid):
+    # Only without excess noise: for epsilon > 0 the minimum of chi_E moves
+    # off 1 - v_r, and the order breaks on either side of it.  Points an ulp
+    # apart may swap by rounding (7.6e-16 bits seen), hence the tolerance.
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n)
+    grid = sorted(grid)
+    chi = [point.chi_e for point in security_region(p, grid)]
+    below = [c for v_a, c in zip(grid, chi) if v_a <= 1.0 - v_r]
+    above = [c for v_a, c in zip(grid, chi) if v_a >= 1.0 - v_r]
+    assert all(a >= b - 1e-12 for a, b in zip(below, below[1:]))
+    assert all(a <= b + 1e-12 for a, b in zip(above, above[1:]))
+
+
+@PROPERTY_SETTINGS
 @given(v_r=v_r_values, eta=eta_values, delta_v=st.floats(0.0, 10.0, exclude_min=True),
        v_n=st.floats(0.0, 1.0, exclude_min=True), epsilon=epsilon_values, grid=v_a_series)
 def test_region_series_equals_points_bit_for_bit(v_r, eta, delta_v, v_n, epsilon, grid):
