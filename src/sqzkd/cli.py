@@ -5,15 +5,12 @@ exit codes and output formats.  argparse resolves every input: a flag's
 default is stated once, in its ``add_argument``, and ``--config`` turns the
 values of a JSON file into the chosen command's defaults before a second
 parse, so explicit flags win.  ``vars(args)`` is the resolved configuration.
-``main`` parses with one parser per process; a call with ``--config`` builds
-its own, because the config becomes that parser's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -508,24 +505,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     return parser, sub.choices
 
 
-@functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
-    """The parser ``main`` reuses, built on its first call.
-
-    Built then rather than at import, so that it binds the ``cmd_*``
-    functions that are in this module at that time.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    parser, commands = _shared_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is not None and args.config is not None:
-            # set_config changes the command's defaults, which must not
-            # outlive this call: it gets a parser of its own.
-            parser, commands = build_parser()
             commands[args.command].set_config(args.config)
             args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -3,10 +3,7 @@
 import csv
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -747,73 +744,33 @@ class TestOneGridLoop:
         assert out == reference.read_text(encoding="utf-8")
 
 
-REFERENCE_DIR = Path(__file__).parent.parent / "bench" / "reference"
-
-
-class TestSharedParser:
-    """main() parses with one parser per process; no call may change it."""
+class TestRepeatedCalls:
+    """main() called again in one process: no call changes a later one."""
 
     def test_config_leaks_into_no_later_fig2(self, capsys, tmp_path):
         config = write_config(tmp_path / "cfg.json", {"va_step_db": 1.0})
         target = tmp_path / "fig2.csv"
-        reference = (REFERENCE_DIR / "fig2.csv").read_bytes()
+        reference = (Path(__file__).parent.parent / "bench" / "reference"
+                     / "fig2.csv").read_bytes()
         assert run(capsys, "fig2", "--config", config, "--out", str(target))[0] == 0
         assert target.read_bytes() != reference
         assert run(capsys, "fig2", "--out", str(target))[0] == 0
         assert target.read_bytes() == reference
 
-    def test_config_leaks_into_no_later_report(self, capsys, tmp_path):
-        config = write_config(tmp_path / "cfg.json", {"eta": 0.5, "vr_db": -6.0})
-        configured = run(capsys, "report", "--config", config)
-        plain = run(capsys, "report")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        fresh = subprocess.run([sys.executable, "-m", "sqzkd.cli", "report"], env=env,
-                               capture_output=True, text=True, timeout=60, check=False)
-        assert plain == (fresh.returncode, fresh.stdout, fresh.stderr)
-        assert configured[1] != plain[1]
+    def test_dispatches_to_the_command_bound_at_call_time(self, capsys, monkeypatch, tmp_path):
+        # A wrapper installed between two calls, and removed again, must be
+        # seen by exactly the calls made while it is in place.
+        argv = ("fig2", "--out", str(tmp_path / "fig2.csv"))
+        assert run(capsys, *argv)[0] == 0
+        calls, command = [], cli.cmd_fig2
 
-    def test_interleaved_calls_reproduce_every_output(self, capsys, tmp_path):
-        defaults = write_config(tmp_path / "defaults.json",
-                                {"squeezing": 0.5, "va_max_db": 10.0, "va_step_db": 0.25})
-        coarse = write_config(tmp_path / "coarse.json", {"va_step_db": 2.0, "format": "json"})
-        variants = {"plain": [], "json": ["--format", "json"], "defaults": ["--config", defaults],
-                    "coarse": ["--config", coarse]}
-        outputs = {}
-        for _ in range(3):
-            for command in ("fig2", "fig3", "fig4"):
-                for name, flags in variants.items():
-                    target = tmp_path / f"{command}-{name}.out"
-                    code, _, err = run(capsys, command, *flags, "--out", str(target))
-                    assert code == 0, err
-                    assert outputs.setdefault((command, name), target.read_bytes()) == \
-                        target.read_bytes()
-        for command in ("fig2", "fig3", "fig4"):
-            reference = (REFERENCE_DIR / f"{command}.csv").read_bytes()
-            assert outputs[command, "plain"] == outputs[command, "defaults"] == reference
+        def wrapped(args):
+            calls.append(args.command)
+            return command(args)
 
-        shared, fresh = cli._shared_parser()[1], cli.build_parser()[1]
-        for command, parser in fresh.items():
-            for action in parser.options.values():
-                assert shared[command].get_default(action.dest) == \
-                    parser.get_default(action.dest), (command, action.dest)
-        assert shared["fig2"].get_default("transmissions") == [0.098, 0.58, 0.9]
-        assert shared["fig3"].get_default("transmissions") == [0.098, 0.25, 0.5, 0.75]
-        assert shared["fig4"].get_default("eps") == [0.0, 0.035]
-        assert shared["fig4"].get_default("finite_n") == [1e10, 1e11]
-
-    def test_plain_calls_build_one_parser(self, capsys, monkeypatch, tmp_path):
-        builds, build = [], cli.build_parser
-
-        def counted():
-            builds.append(build())
-            return builds[-1]
-
-        monkeypatch.setattr(cli, "build_parser", counted)
-        cli._shared_parser.cache_clear()
-        assert run(capsys, "report")[0] in (0, 2)
-        assert run(capsys, "fig2", "--out", str(tmp_path / "fig2.csv"))[0] == 0
-        assert len(builds) == 1
-        config = write_config(tmp_path / "cfg.json", {"eta": 0.5})
-        assert run(capsys, "report", "--config", config)[0] in (0, 2)
-        assert len(builds) == 2
-        assert cli._shared_parser() is builds[0]
+        monkeypatch.setattr(cli, "cmd_fig2", wrapped)
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ["fig2"]
+        monkeypatch.undo()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ["fig2"]
