@@ -126,13 +126,13 @@ class SampleBatch:
         prints its traceback on standard error and makes this raise
         ``OSError`` naming ``path``, with the child's errno where its error
         had one (e.g. ENOSPC for a full disk); whichever writer fails,
-        every child is reaped and every part file removed before the error
-        propagates.
+        every child is reaped and every part file, and ``path`` once this
+        call has opened it, removed before the error propagates.
         """
         columns = [getattr(self, name) for name in self.CSV_COLUMNS]
         bounds = _writer_bounds(self.n_samples)
         directory = os.path.dirname(os.path.abspath(path))
-        parts, pids = [], []
+        parts, pids, partial = [], [], False
         try:
             try:
                 for start, stop in zip(bounds[1:-1], bounds[2:]):
@@ -141,6 +141,7 @@ class SampleBatch:
                     parts.append(part)
                     pids.append(_fork_writer(fd, columns, start, stop))
                 with open(path, "w", encoding="ascii", newline="") as fh:
+                    partial = True  # until the parts are appended, path is incomplete
                     fh.write(",".join(self.CSV_COLUMNS) + "\n")
                     _write_rows(fh, columns, bounds[0], bounds[1])
             finally:
@@ -152,9 +153,12 @@ class SampleBatch:
                 for part in parts:
                     with open(part, "rb") as src:
                         shutil.copyfileobj(src, out)
+            partial = False
         finally:
             for part in parts:
                 os.remove(part)
+            if partial:
+                os.remove(path)
 
 
 def _writer_bounds(n_rows: int) -> list[int]:

@@ -15,10 +15,9 @@ a positive rate; plotting it against the modulation gives the secure region
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ThresholdUndefinedError
-from .gaussian import snu_to_db
 from .protocol import (
     ProtocolParams,
     holevo_eb,
@@ -75,13 +74,10 @@ def key_rate_finite(p: ProtocolParams, fp: FiniteSizeParams) -> float:
     return (fp.n_key / fp.n_total) * (key_rate_asymptotic(p) - delta_correction(fp))
 
 
-def _efficiency_threshold(chi_e: float, i_ab: float,
-                          fp: FiniteSizeParams | None = None) -> float:
-    """beta_threshold from a point's solved chi_E and I_AB; Delta is 0 when ``fp`` is None."""
+def _threshold(chi_e: float, i_ab: float, fp: FiniteSizeParams | None) -> float:
+    """(chi_E + Delta) / I_AB of a solved point, Delta 0 if ``fp`` is None; inf where I_AB is 0."""
     if i_ab <= 0.0:
-        raise ThresholdUndefinedError(
-            "efficiency threshold undefined: Shannon information I_AB is zero"
-        )
+        return math.inf
     penalty = delta_correction(fp) if fp is not None else 0.0
     return (chi_e + penalty) / i_ab
 
@@ -93,14 +89,12 @@ def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> flo
     value above 1 means the protocol is insecure at any efficiency; when
     I_AB is zero the threshold is undefined and an error is raised.
     """
-    return _efficiency_threshold(holevo_eb(p), mutual_information_ab(p), fp)
-
-
-def _threshold_or_inf(chi_e: float, i_ab: float, fp: FiniteSizeParams | None) -> float:
-    try:
-        return _efficiency_threshold(chi_e, i_ab, fp)
-    except ThresholdUndefinedError:
-        return math.inf
+    chi_e, i_ab = holevo_eb(p), mutual_information_ab(p)
+    if i_ab <= 0.0:
+        raise ThresholdUndefinedError(
+            "efficiency threshold undefined: Shannon information I_AB is zero"
+        )
+    return _threshold(chi_e, i_ab, fp)
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,6 @@ class RegionPoint:
     """One point of a security-region curve, with the chi_E and I_AB behind it."""
 
     v_a: float
-    v_a_db: float
     beta_star: float
     secure: bool
     chi_e: float
@@ -116,7 +109,7 @@ class RegionPoint:
 
     def beta_star_at(self, fp: FiniteSizeParams | None) -> float:
         """Threshold at this point for another sample accounting; inf where undefined."""
-        return _threshold_or_inf(self.chi_e, self.i_ab, fp)
+        return _threshold(self.chi_e, self.i_ab, fp)
 
 
 def security_region(p_base: ProtocolParams, v_a_grid,
@@ -128,23 +121,16 @@ def security_region(p_base: ProtocolParams, v_a_grid,
     efficiency.  A point is secure when some beta in (0, 1] beats the
     threshold, i.e. beta_star < 1.
 
-    The grid is solved as one series (holevo_eb_series and
-    mutual_information_ab_series), bit-identical to solving each point alone.
+    The grid is solved as holevo_eb_series and mutual_information_ab_series,
+    bit-identical to each point alone and raising as its first failing point.
     """
     grid = list(v_a_grid)
     if not grid:
         raise ValueError("modulation grid must be non-empty")
-    try:
-        solved = zip(holevo_eb_series(p_base, grid), mutual_information_ab_series(p_base, grid))
-    except (ValueError, RuntimeError):
-        # Solve point by point instead, so that the error raised is the one
-        # of the first failing point, whichever stage of the series failed.
-        solved = ((holevo_eb(q), mutual_information_ab(q))
-                  for q in (replace(p_base, v_a=v_a) for v_a in grid))
     points = []
-    for v_a, (chi_e, i_ab) in zip(grid, solved):
-        star = _threshold_or_inf(chi_e, i_ab, fp)
-        v_a_db = snu_to_db(v_a) if v_a > 0.0 else -math.inf
-        points.append(RegionPoint(v_a=v_a, v_a_db=v_a_db, beta_star=star,
-                                  secure=star < 1.0, chi_e=chi_e, i_ab=i_ab))
+    for v_a, chi_e, i_ab in zip(grid, holevo_eb_series(p_base, grid),
+                                mutual_information_ab_series(p_base, grid)):
+        star = _threshold(chi_e, i_ab, fp)
+        points.append(RegionPoint(v_a=v_a, beta_star=star, secure=star < 1.0,
+                                  chi_e=chi_e, i_ab=i_ab))
     return points

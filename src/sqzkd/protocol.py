@@ -88,15 +88,19 @@ class ProtocolParams:
         return replace(self, v_a=v_a)
 
 
-def _modulations(p: ProtocolParams, v_a) -> np.ndarray:
-    """``v_a`` as a 1-D float array, each value checked as ProtocolParams checks p.v_a."""
+def _series(p: ProtocolParams, v_a, solve, alone):
+    """``solve(p, values)`` of ``v_a`` as a 1-D float array, raising as its first failing point."""
     values = np.asarray(v_a, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"modulations must be a 1-D sequence, got shape {values.shape}")
-    if not np.all((values >= 0.0) & np.isfinite(values)):
-        for value in values.tolist():
-            replace(p, v_a=value)  # raises ProtocolParams' error at the first bad value
-    return values
+    try:
+        if not np.all((values >= 0.0) & np.isfinite(values)):
+            raise ValueError("a modulation is negative or not finite")
+        return solve(p, values)
+    except (ValueError, RuntimeError):
+        for value in values.tolist():  # raise what the first failing point raises alone
+            alone(replace(p, v_a=value))
+        raise
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,8 @@ def mutual_information_ab_series(p: ProtocolParams, v_a) -> list[float]:
 
     Bit-identical to mutual_information_ab point by point.
     """
-    return [0.5 * math.log2(ratio) for ratio in _snr_ratio(p, _modulations(p, v_a)).tolist()]
+    ratios = _series(p, v_a, _snr_ratio, mutual_information_ab)
+    return [0.5 * math.log2(ratio) for ratio in ratios.tolist()]
 
 
 def _snr_ratio(p: ProtocolParams, v_a):
@@ -259,7 +264,7 @@ def holevo_eb(p: ProtocolParams) -> float:
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
         return _clamp_chi(entropy_g(math.sqrt(det_e)) - entropy_g(math.sqrt(det_e_given_b)))
-    return _holevo_stack(_joint_states(p, np.array([p.v_a])), p.v_n, PHYSICALITY_TOL)[0]
+    return _holevo_stacked(p, np.array([p.v_a]))[0]
 
 
 def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
@@ -269,7 +274,11 @@ def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
     by point: the lossy closed form runs element-wise, and with excess noise
     one eigen-solve per entropy serves every joint state.
     """
-    v_a = _modulations(p, v_a)
+    return _series(p, v_a, _holevo_stacked, holevo_eb)
+
+
+def _holevo_stacked(p: ProtocolParams, v_a: np.ndarray) -> list[float]:
+    """holevo_eb at each modulation of the float array ``v_a``, in one stacked solve."""
     # numpy warns where Python floats do not; every overflow raises below anyway
     with np.errstate(over="ignore", invalid="ignore"):
         if p.epsilon == 0.0:

@@ -708,6 +708,36 @@ class TestOverflow:
         assert out == ""
         assert "not finite" in err
 
+    def test_noisy_report_exits_1_without_a_warning(self, capsys):
+        # the stacked solve of one noisy point overflows inside numpy
+        code, out, err = run(capsys, "report", "--vr", "0.5", "--va", "1e300", "--eta", "0.5",
+                             "--eps", "0.05")
+        assert code == 1
+        assert out == ""
+        assert err == "error: covariance matrix entries must be finite\n"
+
+
+class TestFailingSweep:
+    def test_first_failing_point_reported_and_nothing_written(self, capsys, tmp_path,
+                                                              monkeypatch):
+        regions = []
+
+        def recorded(base, grid, *rest):
+            regions.append((base, grid))
+            return finite_size.security_region(base, grid, *rest)
+
+        monkeypatch.setattr(cli, "security_region", recorded)
+        target = tmp_path / "fig4.csv"
+        code, out, err = run(capsys, "fig4", "--eta", "0.999999", "--eps", "0.035",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert not target.exists()
+        with pytest.raises(ValueError) as solved:
+            finite_size.security_region(*regions[-1])
+        assert err == f"error: {solved.value}\n"
+        assert err.startswith("error: symplectic eigenvalue ")
+
 
 class TestOneGridLoop:
     """fig2 and fig3 cells are the scalar model's floats, read from security_region."""

@@ -440,7 +440,7 @@ class TestForkedCsvWriters:
         with expected as excinfo:
             batch.write_csv(path)
         assert len(three_writers) == 2
-        assert os.listdir(tmp_path) == ["batch.csv"]
+        assert os.listdir(tmp_path) == []
         assert_all_children_reaped()
         if failing == "child":
             # Each failing child's traceback reaches the caller's standard error.
@@ -457,8 +457,24 @@ class TestForkedCsvWriters:
         assert excinfo.value.filename == str(path)
         assert "2 of 2 CSV writer processes failed" in str(excinfo.value)
         assert "No space left on device" in capfd.readouterr().err
-        assert os.listdir(tmp_path) == ["batch.csv"]
+        assert os.listdir(tmp_path) == []
         assert_all_children_reaped()
+
+    def test_file_it_could_not_open_is_kept(self, three_writers, tmp_path, monkeypatch):
+        # The fork fails before write_csv opens path, so the old file stays.
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
+                                                            seed=23))
+        path = tmp_path / "batch.csv"
+        path.write_text("kept\n")
+        with pytest.raises(OSError) as excinfo:
+            batch.write_csv(path)
+        assert excinfo.value.errno == errno.EAGAIN
+        assert path.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["batch.csv"]
 
     def test_no_fork_while_a_thread_runs(self, three_writers, tmp_path, monkeypatch):
         def no_fork():

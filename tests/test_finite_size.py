@@ -19,6 +19,7 @@ from sqzkd.protocol import (
     holevo_eb_series,
     key_rate_asymptotic,
     mutual_information_ab,
+    mutual_information_ab_series,
 )
 
 # mpmath oracle, 40 significant digits, frozen:
@@ -146,7 +147,6 @@ class TestSecurityRegion:
         (point,) = security_region(p, [0.0])
         assert point.beta_star == math.inf
         assert not point.secure
-        assert point.v_a_db == -math.inf
 
     def test_squeezed_touches_zero_at_decoupling(self):
         p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.001)
@@ -197,17 +197,26 @@ class TestSecurityRegion:
         # the stacked solve meets the overflow of 1e300 in an earlier stage
         # than the unphysical spectrum of 0.5
         (EDGE, [0.5, 1e300], UnphysicalStateError),
-    ], ids=["negative", "nan", "inf", "overflow", "unphysical", "first-point-first"])
+        # a point that fails to solve comes before one ProtocolParams rejects
+        (EDGE, [0.5, -1.0], UnphysicalStateError),
+    ], ids=["negative", "nan", "inf", "overflow", "unphysical", "first-point-first",
+            "unphysical-before-negative"])
     def test_bad_point_raises_as_alone(self, base, grid, error):
         with pytest.raises(error) as alone:
             for v_a in grid:
                 point = replace(base, v_a=v_a)
                 holevo_eb(point), mutual_information_ab(point)
-        with pytest.raises(error) as series:
-            security_region(base, grid)
-        assert type(series.value) is type(alone.value)
-        assert str(series.value) == str(alone.value)
+        for solve in (holevo_eb_series, security_region):
+            with pytest.raises(error) as series:
+                solve(base, grid)
+            assert type(series.value) is type(alone.value)
+            assert str(series.value) == str(alone.value)
 
     def test_series_checks_modulations(self):
         with pytest.raises(ValueError, match="v_a must be finite and >= 0, got -0.5"):
             holevo_eb_series(self.NOISY, [1.0, -0.5])
+
+    def test_information_series_checks_modulations(self):
+        # I_AB's closed form has a value at v_a = -0.5; the point alone is rejected
+        with pytest.raises(ValueError, match="v_a must be finite and >= 0, got -0.5"):
+            mutual_information_ab_series(self.LOSSY, [1.0, -0.5])
