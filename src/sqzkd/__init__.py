@@ -14,6 +14,7 @@ from .emulator import (
     ReconstructedCM,
     SampleBatch,
     expected_record_covariance,
+    generate_calibrated_samples,
     generate_samples,
     normalize_to_shot_noise,
     reconstruct_covariance,

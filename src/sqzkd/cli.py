@@ -23,8 +23,7 @@ from .emulator import (
     EmulationConfig,
     ReconstructedCM,
     expected_record_covariance,
-    generate_samples,
-    normalize_to_shot_noise,
+    generate_calibrated_samples,
     reconstruct_covariance,
     security_from_data,
 )
@@ -304,13 +303,7 @@ def cmd_emulate(args) -> int:
                           eta_bob_det=args.eta_bob_det, eta_eve_det=args.eta_eve_det,
                           ideal_detectors=args.ideal_detectors)
 
-    batch = generate_samples(params, cfg)
-    calibration = generate_samples(
-        replace(params, v_a=0.0, v_r=1.0, delta_v=0.0),
-        replace(cfg, seed=(cfg.seed + 1) % 2 ** 64),
-    )
-    normalized = normalize_to_shot_noise(batch, calibration)
-    del batch, calibration  # dead from here; freed before reconstruction allocates its copy
+    normalized = generate_calibrated_samples(params, cfg)
     recon = reconstruct_covariance(normalized)
 
     batch_path = f"{args.out}_samples.csv"

@@ -357,21 +357,51 @@ def normalize_to_shot_noise(batch: SampleBatch,
     square so that calibrated vacuum has unit variance.  The sender's data is
     left untouched (its scale cancels from every derived quantity).
     """
+    scales = _shot_noise_scales(batch.config, vacuum_calibration)
+    return replace(batch, **{name: getattr(batch, name) / scale
+                             for name, scale in scales.items()})
+
+
+def generate_calibrated_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
+    """generate_samples normalized to shot noise by a vacuum calibration run.
+
+    The calibration is drawn first, at v_a = 0, v_r = 1, delta_v = 0 and
+    seed + 1 (mod 2**64), and is reduced to its four scales before the
+    signal batch is drawn, so the two batches are never held together.  Each
+    batch has its own Philox key, so the records are those of
+    ``normalize_to_shot_noise(generate_samples(p, cfg), calibration)``.
+    """
+    calibration = generate_samples(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
+                                   replace(cfg, seed=(cfg.seed + 1) % 2 ** 64))
+    scales = _shot_noise_scales(cfg, calibration)
+    del calibration  # freed before the signal batch is drawn
+    batch = generate_samples(p, cfg)
+    return replace(batch, **{name: getattr(batch, name) / scale
+                             for name, scale in scales.items()})
+
+
+def _shot_noise_scales(cfg: EmulationConfig,
+                       vacuum_calibration: SampleBatch) -> dict[str, float]:
+    """Root mean square of each detected quadrature of a vacuum calibration run.
+
+    ``cfg`` is the configuration of the batch to be normalized; the
+    calibration must be vacuum taken at its detector settings.
+    """
     cal_p = vacuum_calibration.params
     if not (cal_p.v_a == 0.0 and cal_p.v_r == 1.0 and cal_p.delta_v == 0.0):
         raise ValueError("calibration batch must be vacuum: v_a = 0, v_r = 1, delta_v = 0")
-    ours, theirs = batch.config, vacuum_calibration.config
-    if ours.detector_efficiencies() != theirs.detector_efficiencies():
+    if cfg.detector_efficiencies() != vacuum_calibration.config.detector_efficiencies():
         raise ValueError("calibration batch was taken at different detector settings")
 
-    scaled = {}
+    scales = {}
     for name in ("x_b", "p_b", "x_e", "p_e"):
         cal = getattr(vacuum_calibration, name)
         scale = math.sqrt(float(np.mean(cal * cal)))
         if scale <= 0.0:
             raise ValueError(f"calibration variance for {name} is not positive")
-        scaled[name] = getattr(batch, name) / scale
-    return replace(batch, **scaled)
+        scales[name] = scale
+    return scales
+
 
 
 def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.ndarray:

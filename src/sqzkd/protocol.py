@@ -96,7 +96,9 @@ def _series(p: ProtocolParams, v_a, solve, alone):
     try:
         if not np.all((values >= 0.0) & np.isfinite(values)):
             raise ValueError("a modulation is negative or not finite")
-        return solve(p, values)
+        # numpy warns of an overflow where the scalar's Python floats do not
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve(p, values)
     except (ValueError, RuntimeError):
         for value in values.tolist():  # raise what the first failing point raises alone
             alone(replace(p, v_a=value))

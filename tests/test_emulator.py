@@ -2,10 +2,12 @@
 
 import errno
 import hashlib
+import json
 import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -21,6 +23,7 @@ from sqzkd.emulator import (
     ReconstructedCM,
     SampleBatch,
     expected_record_covariance,
+    generate_calibrated_samples,
     generate_samples,
     normalize_to_shot_noise,
     reconstruct_covariance,
@@ -190,6 +193,66 @@ class TestNormalizeToShotNoise:
                                EmulationConfig(n_samples=100, seed=18, eta_bob_det=0.5))
         with pytest.raises(ValueError, match="detector"):
             normalize_to_shot_noise(batch, cal)
+
+
+class TestCalibratedSamples:
+    def test_equals_normalizing_by_a_separate_calibration(self):
+        # The calibration takes seed + 1 modulo 2**64, here 0.
+        cfg = EmulationConfig(n_samples=5_000, seed=2 ** 64 - 1)
+        calibration = generate_samples(replace(DECOUPLED, v_a=0.0, v_r=1.0, delta_v=0.0),
+                                       replace(cfg, seed=0))
+        expected = normalize_to_shot_noise(generate_samples(DECOUPLED, cfg), calibration)
+        out = generate_calibrated_samples(DECOUPLED, cfg)
+        assert (out.params, out.config) == (DECOUPLED, cfg)
+        for name in SampleBatch.CSV_COLUMNS:
+            assert getattr(out, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("flags, params", [
+        pytest.param(["--vr", "0.5", "--va", "2", "--eta", "0.58"],
+                     ProtocolParams(v_r=0.5, v_a=2.0, eta=0.58, beta=0.95), id="lossy"),
+        pytest.param(["--vr", "0.3", "--va", "1.2", "--eta", "0.4", "--eps", "0.05",
+                      "--vn", "0.1", "--dv", "0.2"],
+                     ProtocolParams(v_r=0.3, v_a=1.2, eta=0.4, epsilon=0.05, v_n=0.1,
+                                    delta_v=0.2, beta=0.95), id="noisy"),
+    ])
+    def test_emulate_json_equals_the_public_api(self, tmp_path, capsys, flags, params):
+        # The flags of test_pinned_bytes_of_emulate_samples; the signal batch
+        # is drawn before its calibration here, and the bytes must not care.
+        cfg = EmulationConfig(n_samples=40_000, seed=11)
+        batch = generate_samples(params, cfg)
+        calibration = generate_samples(replace(params, v_a=0.0, v_r=1.0, delta_v=0.0),
+                                       replace(cfg, seed=12))
+        recon = reconstruct_covariance(normalize_to_shot_noise(batch, calibration))
+        report = security_from_data(recon, params.beta)
+        code = main(["emulate", *flags, "--n-samples", "40000", "--seed", "11",
+                     "--out", str(tmp_path / "pin")])
+        capsys.readouterr()
+        assert code == 0
+        assert (tmp_path / "pin_reconstruction.json").read_text() \
+            == json.dumps(recon.to_json_dict(), indent=2)
+        assert (tmp_path / "pin_report.json").read_text() == report.to_json() + "\n"
+
+    def test_emulate_peak_memory(self, tmp_path, capsys):
+        # The calibration is reduced to its four scales before the signal
+        # batch is drawn, so the two are never held together: the traced peak
+        # is about 11 record arrays of 8 n bytes, against 16 with both held.
+        n = 200_000
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(["emulate", "--vr", "0.5", "--va", "2", "--eta", "0.58",
+                         "--ideal-detectors", "--n-samples", str(n), "--seed", "11",
+                         "--out", str(tmp_path / "mem")])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 13 * 8 * n
 
 
 def exact_reconstruction(p, cfg, n=10 ** 9):

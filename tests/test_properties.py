@@ -75,6 +75,22 @@ def test_holevo_monotone_either_side_of_decoupling(v_r, eta, delta_v, v_n, grid)
 
 
 @PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
+       epsilon=st.floats(0.0, 0.1, exclude_min=True, exclude_max=True),
+       grid=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=60))
+def test_holevo_unimodal_with_excess_noise(v_r, eta, delta_v, v_n, epsilon, grid):
+    # With excess noise the minimum of chi_E moves off 1 - v_r, but chi_E
+    # still falls to it and rises after it: it is monotone on either side of
+    # the grid's minimum, up to the same rounding between close points.
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    grid = sorted(grid)
+    chi = [point.chi_e for point in security_region(p, grid)]
+    k = chi.index(min(chi))
+    assert all(a >= b - 1e-12 for a, b in zip(chi[:k], chi[1:k + 1]))
+    assert all(a <= b + 1e-12 for a, b in zip(chi[k:], chi[k + 1:]))
+
+
+@PROPERTY_SETTINGS
 @given(v_r=v_r_values, eta=eta_values, delta_v=st.floats(0.0, 10.0, exclude_min=True),
        v_n=st.floats(0.0, 1.0, exclude_min=True), epsilon=epsilon_values, grid=v_a_series)
 def test_region_series_equals_points_bit_for_bit(v_r, eta, delta_v, v_n, epsilon, grid):

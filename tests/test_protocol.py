@@ -327,6 +327,15 @@ class TestMutualInformation:
         values = [mutual_information_ab(replace(p, v_a=v)) for v in (0.1, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_overflowing_series_equals_scalar_without_a_warning(self):
+        # The SNR ratio overflows; the scalar's Python floats give inf
+        # silently, and numpy's overflow warning must not escape the series.
+        p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.9, v_n=1.7e308)
+        alone = mutual_information_ab(replace(p, v_a=1.7e308))
+        assert alone == math.inf
+        series = mutual_information_ab_series(p, [1.7e308])
+        assert np.array(series).tobytes() == np.array([alone]).tobytes()
+
 
 class TestClassicalLeakage:
     def test_decoupling_uncorrelates_receiver(self):
@@ -528,6 +537,20 @@ class TestOptimalModulation:
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05)
         with pytest.raises(ValueError, match="finite"):
             optimal_modulation(p, (0.0, 1e300))
+
+    def test_overflowing_information_raises_without_a_warning(self):
+        # Lossless, so chi_E is 0 while I_AB's SNR ratio overflows above
+        # v_a ~ 2e293: the rate is inf, not a numpy warning.
+        p = ProtocolParams(v_r=1e-15, v_a=1.0, eta=1.0)
+        with pytest.raises(ValueError, match="key rate is not finite"):
+            optimal_modulation(p, (0.0, 1e300))
+
+    def test_overflowing_noise_raises_without_a_warning(self):
+        # I_AB overflows at the range's top, chi_E's variances from its
+        # second point: the Holevo bound's error comes first.
+        p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.9, v_n=1.7e308)
+        with pytest.raises(ValueError, match="not finite"):
+            optimal_modulation(p, (0.0, 1.7e308))
 
     def test_degenerate_range(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
