@@ -365,11 +365,11 @@ def normalize_to_shot_noise(batch: SampleBatch,
 def generate_calibrated_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     """generate_samples normalized to shot noise by a vacuum calibration run.
 
-    The calibration is drawn first, at v_a = 0, v_r = 1, delta_v = 0 and
-    seed + 1 (mod 2**64), and is reduced to its four scales before the
-    signal batch is drawn, so the two batches are never held together.  Each
-    batch has its own Philox key, so the records are those of
-    ``normalize_to_shot_noise(generate_samples(p, cfg), calibration)``.
+    The calibration (v_a = 0, v_r = 1, delta_v = 0, seed + 1 mod 2**64) is
+    drawn first and reduced to its four scales before the signal batch is
+    drawn, so the two batches are never held together.  Each has its own
+    Philox key, so the records are those of normalize_to_shot_noise on the
+    two batches whichever is drawn first.
     """
     calibration = generate_samples(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
                                    replace(cfg, seed=(cfg.seed + 1) % 2 ** 64))
@@ -384,8 +384,8 @@ def _shot_noise_scales(cfg: EmulationConfig,
                        vacuum_calibration: SampleBatch) -> dict[str, float]:
     """Root mean square of each detected quadrature of a vacuum calibration run.
 
-    ``cfg`` is the configuration of the batch to be normalized; the
-    calibration must be vacuum taken at its detector settings.
+    The calibration must be vacuum, taken at the detector settings of ``cfg``,
+    the configuration of the batch to be normalized.
     """
     cal_p = vacuum_calibration.params
     if not (cal_p.v_a == 0.0 and cal_p.v_r == 1.0 and cal_p.delta_v == 0.0):
@@ -401,7 +401,6 @@ def _shot_noise_scales(cfg: EmulationConfig,
             raise ValueError(f"calibration variance for {name} is not positive")
         scales[name] = scale
     return scales
-
 
 
 def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.ndarray:

@@ -96,7 +96,8 @@ def _series(p: ProtocolParams, v_a, solve, alone):
     try:
         if not np.all((values >= 0.0) & np.isfinite(values)):
             raise ValueError("a modulation is negative or not finite")
-        # numpy warns of an overflow where the scalar's Python floats do not
+        # numpy warns where Python floats do not; every overflow raises or
+        # gives the scalar's inf anyway
         with np.errstate(over="ignore", invalid="ignore"):
             return solve(p, values)
     except (ValueError, RuntimeError):
@@ -266,7 +267,8 @@ def holevo_eb(p: ProtocolParams) -> float:
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
         return _clamp_chi(entropy_g(math.sqrt(det_e)) - entropy_g(math.sqrt(det_e_given_b)))
-    return _holevo_stacked(p, np.array([p.v_a]))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _series
+        return _holevo_stacked(p, np.array([p.v_a]))[0]
 
 
 def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
@@ -280,14 +282,15 @@ def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
 
 
 def _holevo_stacked(p: ProtocolParams, v_a: np.ndarray) -> list[float]:
-    """holevo_eb at each modulation of the float array ``v_a``, in one stacked solve."""
-    # numpy warns where Python floats do not; every overflow raises below anyway
-    with np.errstate(over="ignore", invalid="ignore"):
-        if p.epsilon == 0.0:
-            det_e, det_e_given_b = _lossy_determinants(p, v_a)
-            return [_clamp_chi(entropy_g(math.sqrt(x)) - entropy_g(math.sqrt(y)))
-                    for x, y in zip(det_e.tolist(), det_e_given_b.tolist())]
-        return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)
+    """holevo_eb at each modulation of the float array ``v_a``, in one stacked solve.
+
+    Callers silence numpy's overflow warnings: every overflow raises here.
+    """
+    if p.epsilon == 0.0:
+        det_e, det_e_given_b = _lossy_determinants(p, v_a)
+        return [_clamp_chi(entropy_g(math.sqrt(x)) - entropy_g(math.sqrt(y)))
+                for x, y in zip(det_e.tolist(), det_e_given_b.tolist())]
+    return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)
 
 
 def _lossy_determinants(p: ProtocolParams, v_a):
