@@ -267,7 +267,7 @@ def holevo_eb(p: ProtocolParams) -> float:
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
         return _clamp_chi(entropy_g(math.sqrt(det_e)) - entropy_g(math.sqrt(det_e_given_b)))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _series
+    with np.errstate(over="ignore", invalid="ignore"):  # it raises on every overflow
         return _holevo_stacked(p, np.array([p.v_a]))[0]
 
 
