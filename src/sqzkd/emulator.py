@@ -90,13 +90,13 @@ class EmulationConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Recorded quadrature samples plus the settings that generated them."""
+    """Recorded quadrature samples plus the settings that generated them.
 
-    x_a: np.ndarray
-    x_b: np.ndarray
-    p_b: np.ndarray
-    x_e: np.ndarray
-    p_e: np.ndarray
+    ``records`` is a C-contiguous (5, n_samples) array whose rows are the
+    recorded variables in the samples CSV's column order XA..PE.
+    """
+
+    records: np.ndarray
     params: ProtocolParams
     config: EmulationConfig
 
@@ -104,11 +104,11 @@ class SampleBatch:
 
     @property
     def n_samples(self) -> int:
-        return self.x_a.shape[0]
+        return self.records.shape[1]
 
     def columns(self) -> np.ndarray:
-        """Records as an (n_samples, 5) array in CSV column order."""
-        return np.column_stack([getattr(self, name) for name in self.CSV_COLUMNS])
+        """Records as an (n_samples, 5) view in CSV column order."""
+        return self.records.T
 
     def write_csv(self, path) -> None:
         """Write a header line, then one row of five ``%.12g`` values per record.
@@ -129,7 +129,6 @@ class SampleBatch:
         every child is reaped and every part file, and ``path`` once this
         call has opened it, removed before the error propagates.
         """
-        columns = [getattr(self, name) for name in self.CSV_COLUMNS]
         bounds = _writer_bounds(self.n_samples)
         directory = os.path.dirname(os.path.abspath(path))
         parts, pids, partial = [], [], False
@@ -139,11 +138,11 @@ class SampleBatch:
                     fd, part = tempfile.mkstemp(prefix=".samples-", suffix=".part",
                                                 dir=directory)
                     parts.append(part)
-                    pids.append(_fork_writer(fd, columns, start, stop))
+                    pids.append(_fork_writer(fd, self.records, start, stop))
                 with open(path, "w", encoding="ascii", newline="") as fh:
                     partial = True  # until the parts are appended, path is incomplete
                     fh.write(",".join(self.CSV_COLUMNS) + "\n")
-                    _write_rows(fh, columns, bounds[0], bounds[1])
+                    _write_rows(fh, self.records, bounds[0], bounds[1])
             finally:
                 codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
             failed = [code for code in codes if code != 0]
@@ -177,16 +176,15 @@ def _writer_bounds(n_rows: int) -> list[int]:
     return [min(k * rows_per_writer, n_rows) for k in range(writers + 1)]
 
 
-def _write_rows(fh, columns, start: int, stop: int) -> None:
-    """Format rows [start, stop) of ``columns`` into ``fh``, one ``%`` per block."""
-    row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+def _write_rows(fh, records, start: int, stop: int) -> None:
+    """Format records [start, stop) of the (5, n) ``records`` into ``fh``, one ``%`` per block."""
+    row_fmt = ",".join(["%.12g"] * len(records)) + "\n"
     for lo in range(start, stop, _CSV_BLOCK_ROWS):
-        hi = min(lo + _CSV_BLOCK_ROWS, stop)
-        block = np.column_stack([c[lo:hi] for c in columns])
+        block = records[:, lo:min(lo + _CSV_BLOCK_ROWS, stop)].T
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _fork_writer(fd: int, columns, start: int, stop: int) -> int:
+def _fork_writer(fd: int, records, start: int, stop: int) -> int:
     """Fork a child that writes rows [start, stop) to the file ``fd``; return its pid.
 
     The child only runs ``_write_rows`` and leaves through ``os._exit``: it
@@ -213,7 +211,7 @@ def _fork_writer(fd: int, columns, start: int, stop: int) -> int:
         status = _WRITER_FAILED
         try:
             with open(fd, "w", encoding="ascii", newline="") as fh:
-                _write_rows(fh, columns, start, stop)
+                _write_rows(fh, records, start, stop)
             status = 0
         except BaseException as exc:
             if isinstance(exc, OSError) and exc.errno in range(1, _WRITER_FAILED):
@@ -314,11 +312,13 @@ def _records(p: ProtocolParams, cfg: EmulationConfig, draw):
 
 def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     """Draw one batch of records through the channel and detector model of _records."""
-    n = cfg.n_samples
+    return SampleBatch(np.array(_draw_records(p, cfg)), p, cfg)
+
+
+def _draw_records(p: ProtocolParams, cfg: EmulationConfig):
+    """The five rows of _records, drawn from the Philox stream keyed by cfg.seed."""
     rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
-    x_a, x_b, p_b, x_e, p_e = _records(p, cfg, lambda sd: rng.standard_normal(n) * sd)
-    return SampleBatch(x_a=x_a, x_b=x_b, p_b=p_b, x_e=x_e, p_e=p_e,
-                       params=p, config=cfg)
+    return _records(p, cfg, lambda sd: rng.standard_normal(cfg.n_samples) * sd)
 
 
 def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
@@ -331,8 +331,7 @@ def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
     n = batch.n_samples
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n}")
-    data = batch.columns()
-    moments = data.T @ data / (n - 1)
+    moments = batch.records @ batch.records.T / (n - 1)
     moments = 0.5 * (moments + moments.T)
 
     diag = np.diag(moments)
@@ -357,49 +356,38 @@ def normalize_to_shot_noise(batch: SampleBatch,
     square so that calibrated vacuum has unit variance.  The sender's data is
     left untouched (its scale cancels from every derived quantity).
     """
-    scales = _shot_noise_scales(batch.config, vacuum_calibration)
-    return replace(batch, **{name: getattr(batch, name) / scale
-                             for name, scale in scales.items()})
+    cal_p = vacuum_calibration.params
+    if not (cal_p.v_a == 0.0 and cal_p.v_r == 1.0 and cal_p.delta_v == 0.0):
+        raise ValueError("calibration batch must be vacuum: v_a = 0, v_r = 1, delta_v = 0")
+    if batch.config.detector_efficiencies() != vacuum_calibration.config.detector_efficiencies():
+        raise ValueError("calibration batch was taken at different detector settings")
+    scales = _shot_noise_scales(vacuum_calibration.records)
+    return replace(batch, records=batch.records / scales[:, np.newaxis])
 
 
 def generate_calibrated_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     """generate_samples normalized to shot noise by a vacuum calibration run.
 
     The calibration (v_a = 0, v_r = 1, delta_v = 0, seed + 1 mod 2**64) is
-    drawn first and reduced to its four scales before the signal batch is
-    drawn, so the two batches are never held together.  Each has its own
-    Philox key, so the records are those of normalize_to_shot_noise on the
-    two batches whichever is drawn first.
+    drawn first, row by row, and reduced to its four scales before the
+    signal batch is drawn and divided in place, so the two are never held
+    together.  Each has its own Philox key, so the records are those of
+    normalize_to_shot_noise on the two batches whichever is drawn first.
     """
-    calibration = generate_samples(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
-                                   replace(cfg, seed=(cfg.seed + 1) % 2 ** 64))
-    scales = _shot_noise_scales(cfg, calibration)
-    del calibration  # freed before the signal batch is drawn
+    scales = _shot_noise_scales(_draw_records(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
+                                              replace(cfg, seed=(cfg.seed + 1) % 2 ** 64)))
     batch = generate_samples(p, cfg)
-    return replace(batch, **{name: getattr(batch, name) / scale
-                             for name, scale in scales.items()})
+    np.divide(batch.records, scales[:, np.newaxis], out=batch.records)
+    return batch
 
 
-def _shot_noise_scales(cfg: EmulationConfig,
-                       vacuum_calibration: SampleBatch) -> dict[str, float]:
-    """Root mean square of each detected quadrature of a vacuum calibration run.
-
-    The calibration must be vacuum, taken at the detector settings of ``cfg``,
-    the configuration of the batch to be normalized.
-    """
-    cal_p = vacuum_calibration.params
-    if not (cal_p.v_a == 0.0 and cal_p.v_r == 1.0 and cal_p.delta_v == 0.0):
-        raise ValueError("calibration batch must be vacuum: v_a = 0, v_r = 1, delta_v = 0")
-    if cfg.detector_efficiencies() != vacuum_calibration.config.detector_efficiencies():
-        raise ValueError("calibration batch was taken at different detector settings")
-
-    scales = {}
-    for name in ("x_b", "p_b", "x_e", "p_e"):
-        cal = getattr(vacuum_calibration, name)
-        scale = math.sqrt(float(np.mean(cal * cal)))
-        if scale <= 0.0:
-            raise ValueError(f"calibration variance for {name} is not positive")
-        scales[name] = scale
+def _shot_noise_scales(vacuum_records) -> np.ndarray:
+    """Divisor of each row of records: 1 for x_a, a vacuum run's root mean square for the rest."""
+    scales = np.array([1.0] + [math.sqrt(float(np.mean(row * row)))
+                               for row in vacuum_records[XB:]])
+    if np.any(scales <= 0.0):
+        bad = SampleBatch.CSV_COLUMNS[int(np.argmax(scales <= 0.0))]
+        raise ValueError(f"calibration variance for {bad} is not positive")
     return scales
 
 

@@ -202,7 +202,10 @@ def mutual_information_ab_series(p: ProtocolParams, v_a) -> list[float]:
 def _snr_ratio(p: ProtocolParams, v_a):
     """The argument of I_AB's log2, for a float or an array ``v_a``."""
     eta = p.eta
-    base = eta * p.v_r + p.v_n + 1.0 - eta + eta * p.epsilon
+    if eta == 1.0:  # no 1 - eta term, whose cancellation would swamp a small v_r
+        base = p.v_r + p.v_n + p.epsilon
+    else:
+        base = eta * p.v_r + p.v_n + 1.0 - eta + eta * p.epsilon
     return (eta * v_a + base) / base
 
 

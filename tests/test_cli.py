@@ -716,6 +716,15 @@ class TestOverflow:
         assert out == ""
         assert err == "error: covariance matrix entries must be finite\n"
 
+    def test_lossless_report_without_modulation_exits_1(self, capsys):
+        # I_AB is 0 here; the joint state of the quantum mutual information,
+        # with a p_r variance of 1e300, is the first thing to fail
+        code, out, err = run(capsys, "report", "--vr", "1e-300", "--va", "0", "--eta", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: covariance matrix is not positive definite")
+        assert err.count("\n") == 1
+
 
 class TestFailingSweep:
     def test_first_failing_point_reported_and_nothing_written(self, capsys, tmp_path,

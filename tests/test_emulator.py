@@ -17,7 +17,7 @@ import pytest
 from sqzkd import emulator
 from sqzkd.cli import main
 from sqzkd.emulator import (
-    XB, XE,
+    PB, PE, XB, XE,
     _CSV_BLOCK_ROWS,
     EmulationConfig,
     ReconstructedCM,
@@ -60,34 +60,33 @@ class TestGenerateSamples:
         cfg = EmulationConfig(n_samples=5000, seed=123)
         a = generate_samples(DECOUPLED, cfg)
         b = generate_samples(DECOUPLED, cfg)
-        for name in SampleBatch.CSV_COLUMNS:
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.records, b.records)
 
     def test_different_seeds_differ(self):
         a = generate_samples(DECOUPLED, EmulationConfig(n_samples=1000, seed=1))
         b = generate_samples(DECOUPLED, EmulationConfig(n_samples=1000, seed=2))
-        assert not np.array_equal(a.x_b, b.x_b)
+        assert not np.array_equal(a.records[XB], b.records[XB])
 
     def test_vacuum_transmits_as_shot_noise(self):
         p = ProtocolParams(v_r=1.0, v_a=0.0, eta=1.0)
         n = 200_000
         batch = generate_samples(p, ideal_config(n, seed=3))
         se = math.sqrt(2.0 / n)  # standard error of a unit variance estimate
-        assert abs(np.mean(batch.x_b ** 2) - 1.0) <= 5 * se
-        assert abs(np.mean(batch.p_b ** 2) - 1.0) <= 5 * se
+        assert abs(np.mean(batch.records[XB] ** 2) - 1.0) <= 5 * se
+        assert abs(np.mean(batch.records[PB] ** 2) - 1.0) <= 5 * se
 
     def test_decoupling_uncorrelates_records(self):
         n = 1_000_000
         batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=4))
-        cross = np.mean(batch.x_e * batch.x_b)
-        se = math.sqrt(np.mean((batch.x_e * batch.x_b) ** 2) / n)
+        cross = np.mean(batch.records[XE] * batch.records[XB])
+        se = math.sqrt(np.mean((batch.records[XE] * batch.records[XB]) ** 2) / n)
         assert abs(cross) <= 5 * se
 
     def test_cloner_arm_raises_receiver_noise(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.2)
         n = 400_000
         batch = generate_samples(p, ideal_config(n, seed=5))
-        var = np.mean(batch.x_b ** 2)
+        var = np.mean(batch.records[XB] ** 2)
         expected = p.eta * 1.0 + 1 - p.eta + p.eta * p.epsilon
         se = expected * math.sqrt(2.0 / n)
         assert abs(var - expected) <= 5 * se
@@ -122,17 +121,30 @@ class TestReconstructCovariance:
         assert np.all(recon.standard_errors > 0.0)
         assert recon.to_json_dict()["matrix"] == recon.moments.tolist()
 
+    def test_no_copy_of_the_records(self):
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=200_000, seed=8))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            reconstruct_covariance(batch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.5 * 8 * batch.n_samples  # half of one record array
+
     def test_constant_zero_batch_rejected(self):
-        zeros = np.zeros(100)
-        batch = SampleBatch(x_a=zeros, x_b=zeros, p_b=zeros, x_e=zeros, p_e=zeros,
-                            params=DECOUPLED, config=EmulationConfig(n_samples=100, seed=9))
+        batch = SampleBatch(np.zeros((5, 100)), DECOUPLED,
+                            EmulationConfig(n_samples=100, seed=9))
         with pytest.raises(UnphysicalStateError, match="diagonal"):
             reconstruct_covariance(batch)
 
     def test_insufficient_data(self):
         batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=100, seed=10))
-        short = replace(batch, x_a=batch.x_a[:1], x_b=batch.x_b[:1], p_b=batch.p_b[:1],
-                        x_e=batch.x_e[:1], p_e=batch.p_e[:1])
+        short = replace(batch, records=batch.records[:, :1])
         with pytest.raises(InsufficientDataError):
             reconstruct_covariance(short)
 
@@ -141,8 +153,8 @@ class TestReconstructCovariance:
         for n in (10_000, 1_000_000):
             estimates = [
                 float(np.mean(
-                    generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=s)).x_e
-                    * generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=s)).x_b))
+                    generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=s)).records[XE]
+                    * generate_samples(DECOUPLED, EmulationConfig(n_samples=n, seed=s)).records[XB]))
                 for s in range(10)
             ]
             spreads[n] = np.std(estimates, ddof=1)
@@ -156,8 +168,8 @@ class TestNormalizeToShotNoise:
         cfg = EmulationConfig(n_samples=50_000, seed=11)
         batch = generate_samples(p, cfg)
         out = normalize_to_shot_noise(batch, batch)
-        for name in ("x_b", "p_b", "x_e", "p_e"):
-            assert np.mean(getattr(out, name) ** 2) == pytest.approx(1.0, abs=1e-12)
+        for row in (XB, PB, XE, PE):
+            assert np.mean(out.records[row] ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
         cfg = EmulationConfig(n_samples=20_000, seed=12)
@@ -165,12 +177,12 @@ class TestNormalizeToShotNoise:
         cal = generate_samples(replace(DECOUPLED, v_a=0.0, v_r=1.0, delta_v=0.0),
                                EmulationConfig(n_samples=20_000, seed=13))
         plain = normalize_to_shot_noise(batch, cal)
-        scaled = normalize_to_shot_noise(
-            replace(batch, x_b=3.0 * batch.x_b, p_b=3.0 * batch.p_b),
-            replace(cal, x_b=3.0 * cal.x_b, p_b=3.0 * cal.p_b))
-        assert np.allclose(scaled.x_b, plain.x_b, rtol=1e-12, atol=0)
-        assert np.allclose(scaled.p_b, plain.p_b, rtol=1e-12, atol=0)
-        assert np.array_equal(scaled.x_e, plain.x_e)
+        triple_b = np.array([[1.0], [3.0], [3.0], [1.0], [1.0]])
+        scaled = normalize_to_shot_noise(replace(batch, records=triple_b * batch.records),
+                                         replace(cal, records=triple_b * cal.records))
+        assert np.allclose(scaled.records[XB], plain.records[XB], rtol=1e-12, atol=0)
+        assert np.allclose(scaled.records[PB], plain.records[PB], rtol=1e-12, atol=0)
+        assert np.array_equal(scaled.records[XE], plain.records[XE])
 
     def test_decoupling_correlation_survives_normalization(self):
         n = 500_000
@@ -204,8 +216,7 @@ class TestCalibratedSamples:
         expected = normalize_to_shot_noise(generate_samples(DECOUPLED, cfg), calibration)
         out = generate_calibrated_samples(DECOUPLED, cfg)
         assert (out.params, out.config) == (DECOUPLED, cfg)
-        for name in SampleBatch.CSV_COLUMNS:
-            assert getattr(out, name).tobytes() == getattr(expected, name).tobytes()
+        assert out.records.tobytes() == expected.records.tobytes()
 
     @pytest.mark.parametrize("flags, params", [
         pytest.param(["--vr", "0.5", "--va", "2", "--eta", "0.58"],
@@ -376,9 +387,9 @@ class TestCsvExport:
     def test_special_values_equal_savetxt(self, tmp_path):
         values = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                            1.7e308, 1e-5, 123456789012.5, 0.1, -1.0])
-        batch = SampleBatch(x_a=values, x_b=values[::-1].copy(), p_b=np.roll(values, 3),
-                            x_e=-values, p_e=np.roll(values, 7), params=DECOUPLED,
-                            config=EmulationConfig(n_samples=values.size, seed=0))
+        batch = SampleBatch(np.array([values, values[::-1], np.roll(values, 3), -values,
+                                      np.roll(values, 7)]),
+                            DECOUPLED, EmulationConfig(n_samples=values.size, seed=0))
         path = tmp_path / "batch.csv"
         batch.write_csv(path)
         written = path.read_bytes()

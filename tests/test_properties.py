@@ -9,10 +9,13 @@ answer.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqzkd.cli import _db_grid
 from sqzkd.emulator import (
     XA, XB,
     EmulationConfig,
@@ -21,12 +24,13 @@ from sqzkd.emulator import (
     security_from_data,
 )
 from sqzkd.finite_size import security_region
-from sqzkd.gaussian import CovarianceMatrix, apply_beamsplitter
+from sqzkd.gaussian import CovarianceMatrix, apply_beamsplitter, db_to_snu, snu_to_db
 from sqzkd.protocol import (
     ProtocolParams,
     build_joint_state,
     classical_leakage,
     holevo_eb,
+    holevo_eb_series,
     mutual_information_ab,
     security_report,
 )
@@ -56,6 +60,48 @@ def test_holevo_bounds_classical_leakage(v_r, v_a, eta, delta_v, v_n, epsilon):
 def test_holevo_vanishes_at_decoupling(v_r, eta, delta_v, v_n):
     p = ProtocolParams(v_r=v_r, v_a=1.0 - v_r, eta=eta, delta_v=delta_v, v_n=v_n)
     assert holevo_eb(p) <= 1e-9
+
+
+def lossy_oracle(p):
+    """(chi_E, I_AB) of a lossy channel in bits: holevo_eb's closed form to 60 digits."""
+    def g(nu):
+        a, b = (nu + 1) / 2, (nu - 1) / 2
+        return a * mpmath.log(a, 2) - (b * mpmath.log(b, 2) if b else 0)
+
+    with mpmath.workdps(60):
+        v_r, v_a, eta, delta_v, v_n = map(mpmath.mpf, (p.v_r, p.v_a, p.eta, p.delta_v, p.v_n))
+        big_v = v_r + v_a
+        v_e_x = eta + (1 - eta) * big_v
+        v_e_p = eta + (1 - eta) * (1 / v_r + delta_v)
+        v_eb_x = (big_v + v_n * (1 - eta) * big_v + eta * v_n) / (v_n + 1 - eta + eta * big_v)
+        chi = g(mpmath.sqrt(v_e_x * v_e_p)) - g(mpmath.sqrt(v_eb_x * v_e_p))
+        noise = eta * v_r + v_n + 1 - eta
+        return chi, mpmath.log((eta * v_a + noise) / noise, 2) / 2
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values)
+def test_lossy_model_matches_the_oracle(v_r, v_a, eta, delta_v, v_n):
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n)
+    chi, i_ab = lossy_oracle(p)
+    assert abs(holevo_eb(p) - chi) <= 1e-13
+    assert abs(mutual_information_ab(p) - i_ab) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the lossy chi_E rounds below "
+                                       "the 60-digit oracle on 57 of fig4's 106 points")
+def test_lossy_holevo_not_below_the_oracle_on_fig4():
+    # fig4's default lossy series: eta = 0.001, the squeezed and coherent
+    # source, on the dB grid from the decoupling modulation 0.5 to 10 dB.
+    start = snu_to_db(0.5)
+    grid = [db_to_snu(db) for db in _db_grid(start, 10.0, 0.25, insert=start)]
+    below = []
+    for v_r in (0.5, 1.0):
+        base = ProtocolParams(v_r=v_r, v_a=1.0, eta=0.001)
+        below += [(v_r, v_a) for v_a, chi in zip(grid, holevo_eb_series(base, grid))
+                  if chi < lossy_oracle(replace(base, v_a=v_a))[0]]
+    assert below == []
 
 
 @PROPERTY_SETTINGS

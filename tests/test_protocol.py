@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sqzkd.emulator import EmulationConfig, generate_samples
+from sqzkd.emulator import XB, XE, EmulationConfig, generate_samples
 from sqzkd.errors import (
     DegenerateMeasurementError,
     SymplecticPairingError,
@@ -336,6 +336,18 @@ class TestMutualInformation:
         series = mutual_information_ab_series(p, [1.7e308])
         assert np.array(series).tobytes() == np.array([alone]).tobytes()
 
+    def test_lossless_channel_keeps_a_small_squeezed_variance(self):
+        # At eta = 1 the 1 - eta term must not swamp v_r in the denominator.
+        p = ProtocolParams(v_r=1e-15, v_a=1.0, eta=1.0)
+        assert mutual_information_ab(p) == pytest.approx(24.914460711655, rel=1e-12)
+
+    def test_lossless_channel_without_modulation_carries_nothing(self):
+        p = ProtocolParams(v_r=1e-300, v_a=0.0, eta=1.0)
+        assert mutual_information_ab(p) == 0.0
+        # the series solves in numpy, which would warn on a zero denominator
+        assert mutual_information_ab_series(p, [0.0, 1.0]) == [
+            mutual_information_ab(replace(p, v_a=v)) for v in (0.0, 1.0)]
+
 
 class TestClassicalLeakage:
     def test_decoupling_uncorrelates_receiver(self):
@@ -380,7 +392,7 @@ class TestClassicalLeakage:
         chunks = np.array_split(np.arange(cfg.n_samples), 10)
         estimates = []
         for idx in chunks:
-            xe, xb = batch.x_e[idx], batch.x_b[idx]
+            xe, xb = batch.records[XE, idx], batch.records[XB, idx]
             estimates.append(np.mean(xe * xb) ** 2 / (np.mean(xe ** 2) * np.mean(xb ** 2)))
         mean = float(np.mean(estimates))
         sigma = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
