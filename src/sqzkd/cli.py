@@ -5,13 +5,14 @@ exit codes and output formats.  argparse resolves every input: a flag's
 default is stated once, in its ``add_argument``, and ``--config`` turns the
 values of a JSON file into the chosen command's defaults before a second
 parse, so explicit flags win.  ``vars(args)`` is the resolved configuration.
+``main`` builds the parser of the command it runs and no other; only help,
+no command or an unknown one builds all of them.  The sweeps write their
+CSV one series at a time, with one ``%`` over a row format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -177,12 +178,26 @@ def _emit_rows(columns: list[str], series, grid_rows, fmt: str, out_path: str | 
         rows = [dict(zip(columns, row)) for row in _table_rows(series, grid_rows, _json_cell)]
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(_table_rows(series, grid_rows, _format_cell))
-        text = buffer.getvalue()
+        text = ",".join(columns) + "\n" + "".join(_csv_series(labels, values, grid_rows)
+                                                   for labels, values in series)
     _write_text(out_path, text)
+
+
+def _csv_series(labels, values, grid_rows) -> str:
+    """One series' CSV rows, as csv.writer writes them with every cell through _format_cell.
+
+    The rows are one ``%`` over a row format: the formatted labels, then
+    ``%.12g`` for a column whose first cell is a float (all its cells must
+    be) and ``%s`` for a column that _format_cell converts.  No cell holds a
+    delimiter, quote or line break, so none is quoted.
+    """
+    rows = [(*point, *cells) for point, cells in zip(grid_rows, values)]
+    floats = [isinstance(c, float) for c in rows[0]]
+    row_fmt = "".join(_format_cell(c).replace("%", "%%") + "," for c in labels) \
+        + ",".join("%.12g" if f else "%s" for f in floats) + "\n"
+    if not all(floats):
+        rows = [[c if f else _format_cell(c) for f, c in zip(floats, row)] for row in rows]
+    return (row_fmt * len(rows)) % tuple(c for row in rows for c in row)
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -413,93 +428,114 @@ def _add_series(parser: _CommandParser, transmissions: list[float]) -> None:
                         help="anti-squeezed excess variance, SNU")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
-    """The top-level parser, and the subcommands' parsers by name."""
+def _add_report(parser: _CommandParser) -> None:
+    _add_common(parser)
+    _add_protocol(parser)
+
+
+def _add_fig3(parser: _CommandParser) -> None:
+    _add_series(parser, [0.098, 0.25, 0.5, 0.75])
+    parser.add_argument("--beta", type=float, default=DEFAULT_BETA, help="reconciliation efficiency")
+
+
+def _add_fig4(parser: _CommandParser) -> None:
+    # Sweeps start at the decoupling modulation: smaller alphabets are
+    # strictly dominated for the squeezed protocol (see README).
+    _add_sweep(parser, None, "modulation grid start, dB (default: the decoupling modulation, "
+                             f"or {GRID_START_DB:g} for a coherent source)")
+    parser.add_argument("--eta", type=float, default=0.001, help="channel transmittance")
+    parser.add_argument("--eps", type=float, nargs="*", default=[0.0, 0.035],
+                        help="channel excess noise values, SNU")
+    parser.add_argument("--finite-n", type=float, nargs="*", default=[1e10, 1e11],
+                        help="total exchanged-signal counts for finite-size thresholds")
+    parser.add_argument("--n-key", type=float,
+                        help="signals kept for the key (default: half of each total)")
+    parser.add_argument("--eps-smooth", type=float, default=FiniteSizeParams.eps_smooth,
+                        help="smoothing parameter")
+    parser.add_argument("--eps-pa", type=float, default=FiniteSizeParams.eps_pa,
+                        help="privacy-amplification failure probability")
+
+
+def _add_emulate(parser: _CommandParser) -> None:
+    _add_common(parser, "emulation", "prefix of the output files")
+    _add_protocol(parser)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="random seed; output is bit-reproducible given it")
+    parser.add_argument("--n-samples", type=int, default=100000,
+                        help="number of records to draw")
+    parser.add_argument("--eta-bob-det", type=float, default=EmulationConfig.eta_bob_det,
+                        help="receiver homodyne efficiency")
+    parser.add_argument("--eta-eve-det", type=float, default=EmulationConfig.eta_eve_det,
+                        help="eavesdropper homodyne efficiency")
+    parser.add_argument("--ideal-detectors", action="store_true",
+                        help="disable detector imperfections")
+
+
+def _add_validate(parser: _CommandParser) -> None:
+    _add_common(parser)
+    parser.add_argument("matrix", help="path to the covariance-matrix JSON file")
+    parser.add_argument("--tol", type=float, default=PHYSICALITY_TOL,
+                        help="allowed undershoot of the bound; use 0.05 for statistically "
+                             "reconstructed matrices")
+
+
+# Each subcommand: name, help, description, and the function adding its
+# arguments.  Its handler is cmd_<name>.
+_COMMANDS = (
+    ("report", "security report for one parameter point (JSON)", None, _add_report),
+    ("fig2", "Holevo information versus modulation",
+     "CSV columns: protocol, eta, v_a_db, v_a_snu, chi_e_bits. "
+     "Emits a coherent reference series at 58%% transmission plus one "
+     "squeezed series per requested transmission.",
+     lambda parser: _add_series(parser, [0.098, 0.58, 0.9])),
+    ("fig3", "key rate versus modulation",
+     "CSV columns: protocol, eta, beta, v_a_db, v_a_snu, key_rate_bits.", _add_fig3),
+    ("fig4", "efficiency thresholds / secure regions versus modulation",
+     "CSV columns: protocol, epsilon, v_a_db, v_a_snu, "
+     "beta_star_asymptotic, one beta_star_n<N> column per finite "
+     "sample count, secure_flag (asymptotic).", _add_fig4),
+    ("emulate", "run the sampling pipeline and compare data against the model",
+     "Writes <out>_samples.csv, <out>_reconstruction.json and "
+     "<out>_report.json, and prints an entry-wise sigma-distance table.", _add_emulate),
+    ("validate", "check a covariance-matrix JSON file",
+     "Accepts a bare row-major matrix or an object with a "
+     "'matrix' key; prints the symplectic eigenvalues and "
+     "pass/fail against the uncertainty bound.  A matrix of odd "
+     "dimension, such as emulate's reconstruction, is a classical "
+     "label (row 0) followed by modes; it is checked on the "
+     "modes' state conditioned on the label.", _add_validate),
+)
+
+
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The top-level parser, and the subcommands' parsers by name.
+
+    Only ``command``'s parser is added when it names a subcommand, else all
+    of them.  The usage line lists every subcommand either way.
+    """
     parser = argparse.ArgumentParser(
         prog="sqzkd",
         description="Security analysis for the single-quadrature squeezed-state protocol.",
     )
-    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
-
-    rep = sub.add_parser("report", help="security report for one parameter point (JSON)")
-    _add_common(rep)
-    _add_protocol(rep)
-    rep.set_defaults(func=cmd_report)
-
-    f2 = sub.add_parser(
-        "fig2", help="Holevo information versus modulation",
-        description="CSV columns: protocol, eta, v_a_db, v_a_snu, chi_e_bits. "
-                    "Emits a coherent reference series at 58%% transmission plus one "
-                    "squeezed series per requested transmission.")
-    _add_series(f2, [0.098, 0.58, 0.9])
-    f2.set_defaults(func=cmd_fig2)
-
-    f3 = sub.add_parser(
-        "fig3", help="key rate versus modulation",
-        description="CSV columns: protocol, eta, beta, v_a_db, v_a_snu, key_rate_bits.")
-    _add_series(f3, [0.098, 0.25, 0.5, 0.75])
-    f3.add_argument("--beta", type=float, default=DEFAULT_BETA, help="reconciliation efficiency")
-    f3.set_defaults(func=cmd_fig3)
-
-    f4 = sub.add_parser(
-        "fig4", help="efficiency thresholds / secure regions versus modulation",
-        description="CSV columns: protocol, epsilon, v_a_db, v_a_snu, "
-                    "beta_star_asymptotic, one beta_star_n<N> column per finite "
-                    "sample count, secure_flag (asymptotic).")
-    # Sweeps start at the decoupling modulation: smaller alphabets are
-    # strictly dominated for the squeezed protocol (see README).
-    _add_sweep(f4, None, "modulation grid start, dB (default: the decoupling modulation, "
-                         f"or {GRID_START_DB:g} for a coherent source)")
-    f4.add_argument("--eta", type=float, default=0.001, help="channel transmittance")
-    f4.add_argument("--eps", type=float, nargs="*", default=[0.0, 0.035],
-                    help="channel excess noise values, SNU")
-    f4.add_argument("--finite-n", type=float, nargs="*", default=[1e10, 1e11],
-                    help="total exchanged-signal counts for finite-size thresholds")
-    f4.add_argument("--n-key", type=float,
-                    help="signals kept for the key (default: half of each total)")
-    f4.add_argument("--eps-smooth", type=float, default=FiniteSizeParams.eps_smooth,
-                    help="smoothing parameter")
-    f4.add_argument("--eps-pa", type=float, default=FiniteSizeParams.eps_pa,
-                    help="privacy-amplification failure probability")
-    f4.set_defaults(func=cmd_fig4)
-
-    emu = sub.add_parser(
-        "emulate", help="run the sampling pipeline and compare data against the model",
-        description="Writes <out>_samples.csv, <out>_reconstruction.json and "
-                    "<out>_report.json, and prints an entry-wise sigma-distance table.")
-    _add_common(emu, "emulation", "prefix of the output files")
-    _add_protocol(emu)
-    emu.add_argument("--seed", type=int, default=0,
-                     help="random seed; output is bit-reproducible given it")
-    emu.add_argument("--n-samples", type=int, default=100000, help="number of records to draw")
-    emu.add_argument("--eta-bob-det", type=float, default=EmulationConfig.eta_bob_det,
-                     help="receiver homodyne efficiency")
-    emu.add_argument("--eta-eve-det", type=float, default=EmulationConfig.eta_eve_det,
-                     help="eavesdropper homodyne efficiency")
-    emu.add_argument("--ideal-detectors", action="store_true",
-                     help="disable detector imperfections")
-    emu.set_defaults(func=cmd_emulate)
-
-    val = sub.add_parser(
-        "validate", help="check a covariance-matrix JSON file",
-        description="Accepts a bare row-major matrix or an object with a "
-                    "'matrix' key; prints the symplectic eigenvalues and "
-                    "pass/fail against the uncertainty bound.  A matrix of odd "
-                    "dimension, such as emulate's reconstruction, is a classical "
-                    "label (row 0) followed by modes; it is checked on the "
-                    "modes' state conditioned on the label.")
-    _add_common(val)
-    val.add_argument("matrix", help="path to the covariance-matrix JSON file")
-    val.add_argument("--tol", type=float, default=PHYSICALITY_TOL,
-                     help="allowed undershoot of the bound; use 0.05 for statistically "
-                          "reconstructed matrices")
-    val.set_defaults(func=cmd_validate)
-
+    chosen = [entry for entry in _COMMANDS if entry[0] == command]
+    # A parser built for one subcommand still lists them all in its usage
+    # line.  The full parser lists them itself; a metavar would also rename
+    # "argument command" in its invalid-choice message.
+    metavar = "{" + ",".join(entry[0] for entry in _COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser, metavar=metavar)
+    for name, help, description, add_arguments in chosen or _COMMANDS:
+        command_parser = sub.add_parser(name, help=help, description=description)
+        add_arguments(command_parser)
+        # looked up on every build, so that a wrapper installed since is called
+        command_parser.set_defaults(func=globals()[f"cmd_{name}"])
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command is not None and args.config is not None:

@@ -201,8 +201,9 @@ def condition_on_label(moments) -> CovarianceMatrix:
     that mode's unrecorded P.
     """
     m = np.asarray(moments, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 1:
-        raise ValueError(f"labelled moments must be square of odd dimension, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 1 or m.shape[0] < 3:
+        raise ValueError("labelled moments must be square of odd dimension at least 3, "
+                         f"got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError(f"labelled moments are not symmetric within {SYMMETRY_TOL}")
     return CovarianceMatrix(_condition_on_labels(m[np.newaxis])[0])

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,40 @@ class TestFig4FiniteColumns:
         assert not target.exists()
 
 
+class TestSweepWriter:
+    COLUMNS = ["protocol", "eta", "v_a_db", "v_a_snu", "value", "flag"]
+    GRID = [(-3.0, 0.5), (0.0, 1.0), (10.0, 10.0)]
+    SERIES = [
+        (("coherent", 0.58), [(math.inf, True), (-math.inf, False), (math.nan, True)]),
+        (("squeezed", 0.098), [(-0.0, False), (5e-324, True), (1e300, False)]),
+        (("50%", 1 / 3), [(0.1 + 0.2, True), (-1.5e-7, False), (123456789012345.0, True)]),
+    ]
+
+    def test_csv_equals_csv_writer(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        cli._emit_rows(self.COLUMNS, self.SERIES, self.GRID, "csv", str(target))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(self.COLUMNS)
+        for labels, values in self.SERIES:
+            for point, cells in zip(self.GRID, values):
+                writer.writerow([_format_cell(c) for c in (*labels, *point, *cells)])
+        assert target.read_text(encoding="utf-8") == buffer.getvalue()
+        assert buffer.getvalue().splitlines()[1:7] == [
+            "coherent,0.58,-3,0.5,inf,true", "coherent,0.58,0,1,-inf,false",
+            "coherent,0.58,10,10,nan,true", "squeezed,0.098,-3,0.5,-0,false",
+            "squeezed,0.098,0,1,4.94065645841e-324,true", "squeezed,0.098,10,10,1e+300,false"]
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
+    def test_json_holds_the_reference_rows(self, capsys, command):
+        reference = Path(__file__).parent.parent / "bench" / "reference" / f"{command}.csv"
+        code, out, _ = run(capsys, command, "--format", "json")
+        assert code == 0
+        rows = [{key: _format_cell(value) for key, value in row.items()}
+                for row in json.loads(out)]
+        assert rows == read_csv(reference)
+
+
 class TestModulationGrid:
     def test_end_not_on_a_step_is_not_passed(self):
         assert _db_grid(0.0, 1.0, 0.6) == [0.0, 0.6]
@@ -466,6 +502,15 @@ class TestValidate:
         assert out == ""
         assert "no 'matrix' key" in err
 
+    def test_label_without_modes_names_its_shape(self, capsys, tmp_path):
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps([[2.0]]))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: labelled moments must be square of odd dimension at least 3, "
+                       "got shape (1, 1)\n")
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -510,6 +555,9 @@ class TestRemovedFlags:
         assert runs[0][0] == 0
 
 
+COMMANDS = ("report", "fig2", "fig3", "fig4", "emulate", "validate")
+
+
 class TestTopLevel:
     def test_no_command_shows_help(self, capsys):
         code, out, _ = run(capsys)
@@ -518,11 +566,55 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
-        assert "report" in out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        listed = re.findall(r"^ {4}(\w+) ", out, re.MULTILINE)
+        assert listed == list(COMMANDS)
 
     def test_unknown_command(self, capsys):
-        code, _, _ = run(capsys, "frobnicate")
+        code, out, err = run(capsys, "frobnicate")
         assert code == 1
+        assert out == ""
+        assert "argument command: invalid choice: 'frobnicate'" in err
+        assert all(repr(command) in err for command in COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert out == cli.build_parser()[1][command].format_help()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fig2"], ["fig2", "--help"], ["frobnicate"],
+                                      []])
+    def test_builds_the_invoked_command_alone(self, capsys, monkeypatch, argv):
+        built, init = [], cli._CommandParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._CommandParser, "__init__", counted)
+        monkeypatch.setattr(cli, "cmd_fig2", lambda args: 0)
+        run(capsys, *argv)
+        named = argv[:1] if argv[:1] == ["fig2"] else COMMANDS
+        assert built == [f"sqzkd {command}" for command in named]
+
+    @pytest.mark.parametrize("argv", [["a", "b"], ["--bogus"], ["--out"], ["--vn", "x"]])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parse_errors_are_the_full_parsers(self, capsys, command, argv):
+        argv = [command, *argv]
+        with pytest.raises(SystemExit):
+            cli.build_parser()[0].parse_args(argv)
+        expected = capsys.readouterr().err
+        assert expected
+        assert run(capsys, *argv) == (1, "", expected)
+
+    def test_arguments_default_to_sys_argv(self, capsys, monkeypatch):
+        argv = ["fig2", "--transmissions", "0.5", "--va-min-db", "-4", "--va-max-db", "-2",
+                "--format", "json"]
+        monkeypatch.setattr(sys, "argv", ["sqzkd", *argv])
+        code = main()
+        assert (code, *capsys.readouterr()) == run(capsys, *argv)
+        assert code == 0
 
 
 # Values a config file may give each flag; every one differs from its default.
@@ -587,6 +679,22 @@ class TestConfigParity:
         assert set(commands) == set(FLAG_VALUES)
         for name, parser in commands.items():
             assert set(parser.options) - {"config"} == set(FLAG_VALUES[name])
+
+    @pytest.mark.parametrize("command", sorted(FLAG_VALUES))
+    def test_keys_of_other_commands_are_ignored(self, capsys, monkeypatch, tmp_path, matrix,
+                                                command):
+        # main builds the invoked command's parser alone; the others' keys stay unknown to it
+        others = {key: value for name, values in FLAG_VALUES.items() if name != command
+                  for key, value in values.items() if key not in FLAG_VALUES[command]}
+        assert others
+        argv = [command] + ([matrix] if command == "validate" else [])
+        for key, value in BASE_FLAGS.get(command, {}).items():
+            argv += flag_argv(key, value)
+        config = write_config(tmp_path / "cfg.json", others)
+        by_config = self.outputs(capsys, monkeypatch, tmp_path / "config",
+                                 argv + ["--config", config])
+        assert by_config == self.outputs(capsys, monkeypatch, tmp_path / "plain", argv)
+        assert by_config[0] in (0, 2)
 
     @pytest.mark.parametrize("command,key", [(c, k) for c, values in FLAG_VALUES.items()
                                              for k in values])

@@ -300,6 +300,10 @@ class TestConditionOnLabel:
         with pytest.raises(ValueError, match="odd dimension"):
             condition_on_label(matrix)
 
+    def test_label_without_modes_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"at least 3, got shape \(1, 1\)"):
+            condition_on_label([[2.0]])
+
     def test_asymmetric_label_row_rejected(self):
         matrix = np.eye(3)
         matrix[0, 1] = 0.5
