@@ -524,8 +524,8 @@ def build_parser(command: str | None = None
     # "argument command" in its invalid-choice message.
     metavar = "{" + ",".join(entry[0] for entry in _COMMANDS) + "}" if chosen else None
     sub = parser.add_subparsers(dest="command", parser_class=_CommandParser, metavar=metavar)
-    for name, help, description, add_arguments in chosen or _COMMANDS:
-        command_parser = sub.add_parser(name, help=help, description=description)
+    for name, summary, description, add_arguments in chosen or _COMMANDS:
+        command_parser = sub.add_parser(name, help=summary, description=description)
         add_arguments(command_parser)
         # looked up on every build, so that a wrapper installed since is called
         command_parser.set_defaults(func=globals()[f"cmd_{name}"])
