@@ -358,9 +358,24 @@ def quantum_mutual_information_eb(p: ProtocolParams) -> float:
 
 
 def qmi_from_cm(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
-    """S(B) + S(E) - S(BE) of a covariance matrix with mode 0 as B, modes 1.. as E."""
-    s_b = von_neumann_entropy(cm.submatrix([0]), tol)
-    s_e = von_neumann_entropy(cm.submatrix(range(1, cm.n_modes)), tol)
+    """S(B) + S(E) - S(BE) of a covariance matrix with mode 0 as B, modes 1.. as E.
+
+    Where E is one mode, as B is, one stacked solve gives S(B) and S(E); on
+    an error S(B) is solved alone, so that its own error, if it has one,
+    comes first.
+    """
+    if cm.n_modes < 2:
+        raise ValueError(f"need the receiver's mode and at least one more, got {cm.n_modes} mode")
+    joint = cm.entries[np.newaxis]
+    b, e = joint[:, :2, :2], joint[:, 2:, 2:]
+    if cm.n_modes > 2:
+        s_b, s_e = _entropies(b, tol)[0], _entropies(e, tol)[0]
+    else:
+        try:
+            s_b, s_e = _entropies(np.concatenate((b, e)), tol)
+        except ValueError:
+            _entropies(b, tol)
+            raise
     return max(s_b + s_e - von_neumann_entropy(cm, tol), 0.0)
 
 
@@ -385,21 +400,38 @@ def decoupling_modulation(v_r: float) -> float:
 
 # Grid points per round of optimal_modulation.  With excess noise a round
 # costs about 130 us plus 12 us per point, so 7 to 17 points take about the
-# same time; 13 narrow the bracket 6-fold, from 10 to 1e-6 in 9 rounds.
+# same time.  A round over a whole bracket narrows it 6-fold; a round over a
+# window zoomed onto the rate's vertex ends most searches over (0, 10) at
+# 1e-6 in 4 to 5 rounds, against 9 with whole brackets alone.
 _SEARCH_POINTS = 13
+# A zoomed window's radius is at least the grid step it comes from over this.
+_ZOOM = 20.0
 
 
 def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
                        tol: float = 1e-6) -> tuple[float, float]:
     """Modulation maximizing the asymptotic key rate over a closed interval.
 
-    Searches in rounds to absolute tolerance ``tol`` in v_a.  Each round
-    rates an evenly spaced grid of the bracket with one series call per
-    term, and keeps the best point's two neighbours as the next bracket.
-    The search also stops when a round no longer narrows the bracket, as
-    happens once ``tol`` is below the float spacing there.  Returns the
-    bracket's midpoint and key_rate_asymptotic there.  The searched rate must
-    be finite everywhere on the interval.
+    Searches in rounds to absolute tolerance ``tol`` in v_a.  It keeps a
+    bracket, which holds the maximum if the rate has a single peak, and a
+    window inside it.  Each round rates an evenly spaced grid of the window
+    with one series call per term; the first window is the whole interval.
+    The bracket becomes the best point's two neighbours, or the bracket's
+    end where the best point is a window end.  The next window:
+
+    * best point inside the window: centred on the vertex of the parabola
+      through the best point and its neighbours where that parabola is
+      concave, else on the best point, with radius max(h / 20,
+      2 |vertex - best|) for the grid step h, clipped to the bracket;
+    * best point at a bracket end: that end's side of the bracket within
+      h / 20 of it;
+    * best point at a window end inside the bracket: the whole bracket, as
+      the maximum may lie beyond the window.
+
+    The search stops once the bracket is at most ``tol`` wide, or when a
+    round no longer narrows it, as happens once ``tol`` is below the float
+    spacing there.  Returns the bracket's midpoint and key_rate_asymptotic
+    there.  The searched rate must be finite everywhere on the interval.
 
     ``tol`` bounds the width of the final bracket, not the distance to the
     true optimum: where the rate is flat to float precision, the grid's best
@@ -419,18 +451,32 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
             raise ValueError(f"key rate is not finite at v_a = {v_a}")
         return value
 
-    a, b = lo, hi
+    last = _SEARCH_POINTS - 1
+    a, b = lo, hi  # the bracket
+    w_a, w_b = a, b  # the window, rated next
     while b - a > tol:
-        grid = np.linspace(a, b, _SEARCH_POINTS)
+        grid = np.linspace(w_a, w_b, _SEARCH_POINTS)
         points = grid.tolist()
         # beta * I_AB - chi_E, as key_rate_asymptotic computes it at each point
         rates = [check(v_a, p.beta * i_ab - chi) for v_a, i_ab, chi in zip(
             points, mutual_information_ab_series(p, grid), holevo_eb_series(p, grid))]
         k = rates.index(max(rates))
-        a_next, b_next = points[max(k - 1, 0)], points[min(k + 1, _SEARCH_POINTS - 1)]
+        best, h = points[k], (w_b - w_a) / last
+        if 0 < k < last:
+            left, mid, right = rates[k - 1:k + 2]
+            curvature = left - 2.0 * mid + right
+            centre = best + 0.5 * h * (left - right) / curvature if curvature < 0.0 else best
+            radius = max(h / _ZOOM, 2.0 * abs(centre - best))
+        elif best in (a, b):
+            centre, radius = best, h / _ZOOM
+        else:
+            centre, radius = best, math.inf
+        a_next = points[k - 1] if k > 0 else a
+        b_next = points[k + 1] if k < last else b
         if not b_next - a_next < b - a:
             break  # the bracket spans adjacent floats
         a, b = a_next, b_next
+        w_a, w_b = max(centre - radius, a), min(centre + radius, b)
     best = 0.5 * (a + b)
     return best, check(best, key_rate_asymptotic(p.with_modulation(best)))
 

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from sqzkd import protocol
 from sqzkd.emulator import XB, XE, EmulationConfig, generate_samples
 from sqzkd.errors import (
     DegenerateMeasurementError,
@@ -36,6 +37,7 @@ from sqzkd.protocol import (
     mutual_information_ab,
     mutual_information_ab_series,
     optimal_modulation,
+    qmi_from_cm,
     quantum_mutual_information_eb,
     security_report,
 )
@@ -307,6 +309,29 @@ class TestHolevoFromCmErrors:
         assert str(caught.value) == message
 
 
+
+class TestQmiFromCmErrors:
+    """S(B)'s error comes first, as when S(B), S(E) and S(BE) were solved in turn."""
+
+    CASES = [
+        # B below the uncertainty bound, E not positive definite
+        ([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0],
+          [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+         UnphysicalStateError, "symplectic eigenvalue 0.5 is below 1 beyond the tolerance 1e-09"),
+        ([[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+          [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+         SymplecticPairingError,
+         "covariance matrix is not positive definite (min eigenvalue -1, condition number 1)"),
+    ]
+
+    @pytest.mark.parametrize("entries,error,message", CASES, ids=["b-first", "e-alone"])
+    def test_error_precedence(self, entries, error, message):
+        with pytest.raises(error) as caught:
+            qmi_from_cm(CovarianceMatrix(np.array(entries)))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
 class TestMutualInformation:
     def test_no_modulation_no_information(self):
         p = ProtocolParams(v_r=0.5, v_a=0.0, eta=0.5)
@@ -525,6 +550,35 @@ class TestOptimalModulation:
         assert 0 < k < grid.size - 1
         assert v_star == pytest.approx(grid[k], abs=2e-4)
         assert rate_star == pytest.approx(rates[k], abs=1e-10)
+
+    @staticmethod
+    def search_rounds(monkeypatch, p):
+        """optimal_modulation(p, (0, 10)) and the number of grids it rated."""
+        rounds = []
+
+        def counted(q, v_a):
+            rounds.append(len(v_a))
+            return holevo_eb_series(q, v_a)
+
+        monkeypatch.setattr(protocol, "holevo_eb_series", counted)
+        return optimal_modulation(p, (0.0, 10.0)), len(rounds)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05], ids=["lossy", "excess-noise"])
+    def test_zoomed_search_takes_at_most_six_rounds(self, monkeypatch, epsilon):
+        # the two dense-grid scans' links; rounds over whole brackets take 9
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=epsilon, beta=0.75)
+        _, rounds = self.search_rounds(monkeypatch, p)
+        assert 1 <= rounds <= 6
+
+    def test_rate_rising_to_the_range_end(self, monkeypatch):
+        p = ProtocolParams(v_r=0.1, v_a=1.0, eta=0.99, beta=1.0)
+        rates = [key_rate_asymptotic(replace(p, v_a=v)) for v in np.linspace(9.0, 10.0, 11)]
+        assert all(a < b for a, b in zip(rates, rates[1:]))
+        (v_star, rate), rounds = self.search_rounds(monkeypatch, p)
+        assert 10.0 - 1e-6 <= v_star <= 10.0
+        assert rate > rates[-2]
+        # zoomed onto the end; rounds over whole brackets narrow 12-fold there, in 7
+        assert rounds <= 5
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_rate_is_key_rate_at_the_optimum(self, epsilon):
