@@ -400,9 +400,9 @@ def decoupling_modulation(v_r: float) -> float:
 
 # Grid points per round of optimal_modulation.  With excess noise a round
 # costs about 130 us plus 12 us per point, so 7 to 17 points take about the
-# same time.  A round over a whole bracket narrows it 6-fold; a round over a
-# window zoomed onto the rate's vertex ends most searches over (0, 10) at
-# 1e-6 in 4 to 5 rounds, against 9 with whole brackets alone.
+# same time.  A round over a whole bracket narrows it 6-fold, from 10 to 1e-6
+# in 9 rounds.  Windows zoomed onto the rate's vertex took 5.0 rounds on
+# average over 400 link-design searches on (0, 10), and 4 in 228 of them.
 _SEARCH_POINTS = 13
 # A zoomed window's radius is at least the grid step it comes from over this.
 _ZOOM = 20.0
@@ -423,8 +423,8 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
       through the best point and its neighbours where that parabola is
       concave, else on the best point, with radius max(h / 20,
       2 |vertex - best|) for the grid step h, clipped to the bracket;
-    * best point at a bracket end: that end's side of the bracket within
-      h / 20 of it;
+    * best point at a bracket end: the part of the bracket within h / 20
+      of that end;
     * best point at a window end inside the bracket: the whole bracket, as
       the maximum may lie beyond the window.
 

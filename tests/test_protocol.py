@@ -309,7 +309,6 @@ class TestHolevoFromCmErrors:
         assert str(caught.value) == message
 
 
-
 class TestQmiFromCmErrors:
     """S(B)'s error comes first, as when S(B), S(E) and S(BE) were solved in turn."""
 
