@@ -32,7 +32,6 @@ from .gaussian import (
     _finite,
     _mix,
     entropy_g,
-    von_neumann_entropy,
 )
 
 # |chi_E| below this is treated as floating-point noise and clamped to zero;
@@ -232,11 +231,12 @@ def holevo_from_cm(cm: CovarianceMatrix, v_n: float = 0.0,
     """
     if cm.n_modes < 2:
         raise ValueError(f"need the receiver's mode and at least one more, got {cm.n_modes} mode")
-    return _holevo_stack(cm.entries[np.newaxis], v_n, tol)[0]
+    return _holevo_stack(cm.entries[np.newaxis], v_n, tol)[0][0]
 
 
-def _holevo_stack(joint: np.ndarray, v_n: float, tol: float) -> list[float]:
-    """holevo_from_cm of each matrix of a (k, 2m, 2m) stack, bit for bit.
+def _holevo_stack(joint: np.ndarray, v_n: float,
+                  tol: float) -> tuple[list[float], list[float]]:
+    """holevo_from_cm of each matrix of a (k, 2m, 2m) stack, bit for bit, and each S(E).
 
     E's blocks and the states given x_B have the same shape, so one stacked
     solve gives S(E) and S(E | x_B).  On an error S(E) is solved alone, so
@@ -252,7 +252,7 @@ def _holevo_stack(joint: np.ndarray, v_n: float, tol: float) -> list[float]:
         _entropies(eve, tol)
         raise
     k = joint.shape[0]
-    return [_clamp_chi(a - b) for a, b in zip(entropies[:k], entropies[k:])]
+    return [_clamp_chi(a - b) for a, b in zip(entropies[:k], entropies[k:])], entropies[:k]
 
 
 def holevo_eb(p: ProtocolParams) -> float:
@@ -270,8 +270,15 @@ def holevo_eb(p: ProtocolParams) -> float:
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
         return _clamp_chi(entropy_g(math.sqrt(det_e)) - entropy_g(math.sqrt(det_e_given_b)))
+    return _noisy_holevo(p)[0]
+
+
+def _noisy_holevo(p: ProtocolParams) -> tuple[float, np.ndarray, float]:
+    """holevo_eb with excess noise, the (B, E1, E2) state it solved and that state's S(E)."""
     with np.errstate(over="ignore", invalid="ignore"):  # it raises on every overflow
-        return _holevo_stacked(p, np.array([p.v_a]))[0]
+        joint = _joint_states(p, np.array([p.v_a]))
+        (chi,), (s_e,) = _holevo_stack(joint, p.v_n, PHYSICALITY_TOL)
+    return chi, joint[0], s_e
 
 
 def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
@@ -293,7 +300,7 @@ def _holevo_stacked(p: ProtocolParams, v_a: np.ndarray) -> list[float]:
         det_e, det_e_given_b = _lossy_determinants(p, v_a)
         return [_clamp_chi(entropy_g(math.sqrt(x)) - entropy_g(math.sqrt(y)))
                 for x, y in zip(det_e.tolist(), det_e_given_b.tolist())]
-    return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)
+    return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)[0]
 
 
 def _lossy_determinants(p: ProtocolParams, v_a):
@@ -343,7 +350,9 @@ def classical_leakage(p: ProtocolParams, party: str) -> tuple[float, float]:
         v_other = p.v_a
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    correlation = cov * cov / (v_e * v_other)
+    square = cov * cov
+    # a subnormal v_a underflows both the square and the denominator to 0
+    correlation = square / (v_e * v_other) if square else 0.0
     return correlation, shannon_leakage(correlation)
 
 
@@ -366,9 +375,16 @@ def qmi_from_cm(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
     """
     if cm.n_modes < 2:
         raise ValueError(f"need the receiver's mode and at least one more, got {cm.n_modes} mode")
-    joint = cm.entries[np.newaxis]
+    return _qmi(cm.entries, tol)
+
+
+def _qmi(entries: np.ndarray, tol: float, s_e: float | None = None) -> float:
+    """qmi_from_cm of a (2m, 2m) matrix, bit for bit; S(E) is solved only if not given."""
+    joint = entries[np.newaxis]
     b, e = joint[:, :2, :2], joint[:, 2:, 2:]
-    if cm.n_modes > 2:
+    if s_e is not None:
+        s_b = _entropies(b, tol)[0]
+    elif entries.shape[0] > 4:
         s_b, s_e = _entropies(b, tol)[0], _entropies(e, tol)[0]
     else:
         try:
@@ -376,7 +392,7 @@ def qmi_from_cm(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
         except ValueError:
             _entropies(b, tol)
             raise
-    return max(s_b + s_e - von_neumann_entropy(cm, tol), 0.0)
+    return max(s_b + s_e - _entropies(joint, tol)[0], 0.0)
 
 
 def key_rate_asymptotic(p: ProtocolParams) -> float:
@@ -401,11 +417,14 @@ def decoupling_modulation(v_r: float) -> float:
 # Grid points per round of optimal_modulation.  With excess noise a round
 # costs about 130 us plus 12 us per point, so 7 to 17 points take about the
 # same time.  A round over a whole bracket narrows it 6-fold, from 10 to 1e-6
-# in 9 rounds.  Windows zoomed onto the rate's vertex took 5.0 rounds on
-# average over 400 link-design searches on (0, 10), and 4 in 228 of them.
+# in 9 rounds.  Windows zoomed onto the rate's vertex, with the stop on flat
+# rates, took 4.54 rounds on average over 400 link-design searches on
+# (0, 10): 4 at each of the 228 end optima, 5.26 at the 172 interior ones.
 _SEARCH_POINTS = 13
 # A zoomed window's radius is at least the grid step it comes from over this.
 _ZOOM = 20.0
+# Rates within this many bits of each other are equal to float noise.
+_FLAT_RATE = 1e-12
 
 
 def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
@@ -430,15 +449,20 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
 
     The search stops once the bracket is at most ``tol`` wide, or when a
     round no longer narrows it, as happens once ``tol`` is below the float
-    spacing there.  Returns the bracket's midpoint and key_rate_asymptotic
-    there.  The searched rate must be finite everywhere on the interval.
+    spacing there.  It also stops when the best point is not a window end
+    inside the bracket and its rated neighbours lie within 1e-12 bits of it:
+    the peak then lies between rated points that agree to float noise, and
+    no further round can rate higher by more than that.  Returns the last
+    round's best point, which is the range end itself at an end optimum,
+    and key_rate_asymptotic there; where no round runs, the range's
+    midpoint.  The searched rate must be finite everywhere on the interval.
 
-    ``tol`` bounds the width of the final bracket, not the distance to the
-    true optimum: where the rate is flat to float precision, the grid's best
-    point is decided by rounding noise.  With excess noise the rate changes
-    by about 1e-12 within +-1e-5 of the optimum, so the returned v_a can lie
-    up to about 1e-5 from it whatever ``tol`` is; the returned rate is still
-    within float noise of the maximum.
+    ``tol`` bounds the width of a bracket that ends the search, not the
+    distance to the true optimum: where the rate is flat to float precision,
+    the grid's best point is decided by rounding noise.  With excess noise
+    the rate changes by about 1e-12 within +-1e-5 of the optimum, so the
+    returned v_a can lie up to about 1e-5 from it whatever ``tol`` is; the
+    returned rate is still within float noise of the maximum.
     """
     lo, hi = float(v_a_range[0]), float(v_a_range[1])
     if lo < 0.0 or hi < lo:
@@ -454,6 +478,7 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
     last = _SEARCH_POINTS - 1
     a, b = lo, hi  # the bracket
     w_a, w_b = a, b  # the window, rated next
+    best = 0.5 * (a + b)  # returned as it is where no round runs
     while b - a > tol:
         grid = np.linspace(w_a, w_b, _SEARCH_POINTS)
         points = grid.tolist()
@@ -476,15 +501,25 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
         if not b_next - a_next < b - a:
             break  # the bracket spans adjacent floats
         a, b = a_next, b_next
+        if radius < math.inf and rates[k] - min(rates[max(k - 1, 0):k + 2]) <= _FLAT_RATE:
+            break  # the peak lies between rated points that agree to float noise
         w_a, w_b = max(centre - radius, a), min(centre + radius, b)
-    best = 0.5 * (a + b)
     return best, check(best, key_rate_asymptotic(p.with_modulation(best)))
 
 
 def security_report(p: ProtocolParams) -> SecurityReport:
-    """All derived security quantities for one protocol instance."""
+    """All derived security quantities for one protocol instance.
+
+    Each field equals its standalone function bit for bit, and an error is
+    the one those functions raise first in field order.  With excess noise
+    one (B, E1, E2) state serves chi_E and the QMI, and the QMI takes S(E)
+    from the Holevo bound's stacked solve.
+    """
     i_ab = mutual_information_ab(p)
-    chi = holevo_eb(p)
+    if p.epsilon == 0.0:
+        chi = holevo_eb(p)
+    else:
+        chi, joint, s_e = _noisy_holevo(p)
     c_eb, i_eb = classical_leakage(p, "B")
     c_ea, i_ea = classical_leakage(p, "A")
     return SecurityReport(
@@ -495,5 +530,6 @@ def security_report(p: ProtocolParams) -> SecurityReport:
         c_ea=c_ea,
         i_eb_classical=i_eb,
         i_ea_classical=i_ea,
-        qmi_eb=quantum_mutual_information_eb(p),
+        qmi_eb=(quantum_mutual_information_eb(p) if p.epsilon == 0.0
+                else _qmi(joint, PHYSICALITY_TOL, s_e)),
     )

@@ -34,6 +34,7 @@ from sqzkd.protocol import (
     mutual_information_ab,
     mutual_information_ab_series,
     optimal_modulation,
+    quantum_mutual_information_eb,
     security_report,
 )
 
@@ -160,6 +161,18 @@ def test_key_rate_below_plob_bound(v_r, eta, delta_v, v_n, epsilon, beta, grid):
     capacity = -math.log2(1.0 - eta)
     for point in security_region(p, grid):
         assert beta * point.i_ab - point.chi_e <= capacity
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values, epsilon=st.one_of(st.just(0.0), st.floats(0.0, 0.1, exclude_min=True)))
+def test_report_equals_the_standalone_functions(v_r, v_a, eta, delta_v, v_n, epsilon):
+    # with excess noise the report solves one joint state and takes S(E)
+    # from the Holevo bound's stacked solve
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    report = security_report(p)
+    assert report.chi_e.hex() == holevo_eb(p).hex()
+    assert report.qmi_eb.hex() == quantum_mutual_information_eb(p).hex()
 
 
 @settings(max_examples=40, deadline=None)  # each example rates 9999 grid points

@@ -395,6 +395,12 @@ class TestClassicalLeakage:
         p = ProtocolParams(v_r=0.5, v_a=0.0, eta=0.5)
         assert classical_leakage(p, "A") == (0.0, 0.0)
 
+    def test_subnormal_modulation_is_no_modulation(self):
+        # the sender's cross moment squared and the variances' product both underflow
+        p = ProtocolParams(v_r=0.25, v_a=5e-324, eta=0.25)
+        for party in ("A", "B"):
+            assert classical_leakage(p, party) == classical_leakage(replace(p, v_a=0.0), party)
+
     def test_party_validated(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
         with pytest.raises(ValueError, match="party"):
@@ -551,16 +557,24 @@ class TestOptimalModulation:
         assert rate_star == pytest.approx(rates[k], abs=1e-10)
 
     @staticmethod
-    def search_rounds(monkeypatch, p):
-        """optimal_modulation(p, (0, 10)) and the number of grids it rated."""
-        rounds = []
+    def search_grids(monkeypatch, p):
+        """optimal_modulation(p, (0, 10)) and the grids it rated, in order."""
+        grids = []
 
-        def counted(q, v_a):
-            rounds.append(len(v_a))
+        def recorded(q, v_a):
+            grids.append(np.array(v_a))
             return holevo_eb_series(q, v_a)
 
-        monkeypatch.setattr(protocol, "holevo_eb_series", counted)
-        return optimal_modulation(p, (0.0, 10.0)), len(rounds)
+        monkeypatch.setattr(protocol, "holevo_eb_series", recorded)
+        result = optimal_modulation(p, (0.0, 10.0))
+        monkeypatch.undo()
+        return result, grids
+
+    @classmethod
+    def search_rounds(cls, monkeypatch, p):
+        """optimal_modulation(p, (0, 10)) and the number of grids it rated."""
+        result, grids = cls.search_grids(monkeypatch, p)
+        return result, len(grids)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05], ids=["lossy", "excess-noise"])
     def test_zoomed_search_takes_at_most_six_rounds(self, monkeypatch, epsilon):
@@ -578,6 +592,40 @@ class TestOptimalModulation:
         assert rate > rates[-2]
         # zoomed onto the end; rounds over whole brackets narrow 12-fold there, in 7
         assert rounds <= 5
+
+    def test_end_optimum_returns_the_range_end(self):
+        # the end was rated in the first round; a point inside it rates lower
+        p = ProtocolParams(v_r=0.1, v_a=1.0, eta=0.99, beta=1.0)
+        v_star, rate = optimal_modulation(p, (0.0, 10.0))
+        assert v_star == 10.0
+        assert rate.hex() == key_rate_asymptotic(replace(p, v_a=10.0)).hex()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05], ids=["lossy", "excess-noise"])
+    def test_rate_not_below_any_rated_point(self, monkeypatch, epsilon):
+        rng = np.random.default_rng(18)
+        for _ in range(12):
+            v_r = rng.uniform(0.1, 1.0)
+            p = ProtocolParams(v_r=v_r, v_a=1.0 - v_r, eta=rng.uniform(0.05, 0.95),
+                               delta_v=rng.uniform(0.0, 1.0), v_n=rng.uniform(0.0, 0.2),
+                               beta=rng.uniform(0.85, 1.0),
+                               epsilon=epsilon * rng.uniform(0.1, 2.0))
+            (_, rate), grids = self.search_grids(monkeypatch, p)
+            rated = [p.beta * i_ab - chi for grid in grids for i_ab, chi in zip(
+                mutual_information_ab_series(p, grid), holevo_eb_series(p, grid))]
+            assert rate >= max(rated) - 1e-12
+
+    def test_flat_rates_end_the_search_early(self, monkeypatch):
+        # the dense-grid scan's noisy link: its rates agree to 1e-12 bits
+        # while the bracket is still wider than tol, one round short of it
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05, beta=0.75)
+        (v_star, _), grids = self.search_grids(monkeypatch, p)
+        last = grids[-1]
+        assert 0.0 < v_star < 10.0
+        assert 2.0 * (last[1] - last[0]) > 1e-6  # the final bracket
+        assert len(grids) <= 5
+        monkeypatch.setattr(protocol, "_FLAT_RATE", -1.0)
+        _, grids = self.search_grids(monkeypatch, p)
+        assert len(grids) == 6
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_rate_is_key_rate_at_the_optimum(self, epsilon):
@@ -652,6 +700,19 @@ class TestSecurityReport:
             assert rep.qmi_eb >= rep.chi_e - 1e-9
             assert rep.chi_e >= rep.i_eb_classical - 1e-9
             assert p.beta * rep.i_ab <= rep.i_ab
+
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(v_r=0.5, v_a=1e300, eta=0.5, epsilon=0.05), ValueError),
+        (dict(v_r=0.5, v_a=1.0, eta=0.999999, epsilon=0.035), UnphysicalStateError),
+    ], ids=["overflow", "unphysical"])
+    def test_noisy_errors_are_holevo_ebs(self, kwargs, error):
+        p = ProtocolParams(**kwargs)
+        with pytest.raises(error) as alone:
+            holevo_eb(p)
+        with pytest.raises(error) as reported:
+            security_report(p)
+        assert type(reported.value) is type(alone.value)
+        assert str(reported.value) == str(alone.value)
 
     def test_serialization_keys(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
