@@ -566,9 +566,7 @@ class TestOptimalModulation:
             return holevo_eb_series(q, v_a)
 
         monkeypatch.setattr(protocol, "holevo_eb_series", recorded)
-        result = optimal_modulation(p, (0.0, 10.0))
-        monkeypatch.undo()
-        return result, grids
+        return optimal_modulation(p, (0.0, 10.0)), grids
 
     @classmethod
     def search_rounds(cls, monkeypatch, p):
@@ -626,6 +624,22 @@ class TestOptimalModulation:
         monkeypatch.setattr(protocol, "_FLAT_RATE", -1.0)
         _, grids = self.search_grids(monkeypatch, p)
         assert len(grids) == 6
+
+    def test_flat_rates_at_a_window_end_do_not_end_the_search(self, monkeypatch):
+        # A concave stand-in rate, 1e-10 |v_a - 0.3|^1.5 below 0.  The first
+        # round's best point is the range end 0, so the second rates
+        # [0, 1/24]; its best point, 1/24, is a window end inside the bracket
+        # [0, 5/6], 2.7e-13 above its neighbour, while the peak lies beyond.
+        def rate(v_a):
+            return -1e-10 * np.abs(np.asarray(v_a, dtype=float) - 0.3) ** 1.5
+
+        monkeypatch.setattr(protocol, "mutual_information_ab_series",
+                            lambda p, v_a: rate(v_a).tolist())
+        monkeypatch.setattr(protocol, "holevo_eb_series", lambda p, v_a: [0.0] * len(v_a))
+        monkeypatch.setattr(protocol, "key_rate_asymptotic", lambda p: float(rate(p.v_a)))
+        v_star, r = optimal_modulation(ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5), (0.0, 10.0))
+        assert v_star == pytest.approx(0.3, abs=1e-3)
+        assert r >= -1e-12
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_rate_is_key_rate_at_the_optimum(self, epsilon):
