@@ -175,19 +175,17 @@ def test_report_equals_the_standalone_functions(v_r, v_a, eta, delta_v, v_n, eps
     assert report.qmi_eb.hex() == quantum_mutual_information_eb(p).hex()
 
 
-@settings(max_examples=40, deadline=None)  # each example rates 9999 grid points
+@settings(max_examples=40, deadline=None)  # each example rates 10001 grid points
 @given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
        epsilon=epsilon_values, beta=st.floats(0.0, 1.0, exclude_min=True))
 def test_optimal_modulation_not_below_a_dense_grid(v_r, eta, delta_v, v_n, epsilon, beta):
-    # A peak the search misses shows here.  The grid lies strictly inside
-    # (0, 10): where the rate peaks at an end of the range, the search returns
-    # its last bracket's midpoint, up to tol / 2 short of that end, and a rate
-    # still rising there lies below the end's rate (1.8e-9 bits at v_r = 0.1,
-    # eta = 0.99).  test_protocol.py checks such an end optimum on its own.
+    # A peak the search misses shows here.  The grid includes the range's
+    # ends: the search returns its best rated point, which is the end itself
+    # where the rate peaks there.
     p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon,
                        beta=beta)
     v_star, rate = optimal_modulation(p, (0.0, 10.0))
-    grid = np.arange(1, 10_000) * 1e-3
+    grid = np.arange(0, 10_001) * 1e-3
     rates = [beta * i_ab - chi for i_ab, chi in zip(
         mutual_information_ab_series(p, grid), holevo_eb_series(p, grid))]
     assert 0.0 <= v_star <= 10.0

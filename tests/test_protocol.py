@@ -598,6 +598,56 @@ class TestOptimalModulation:
         assert v_star == 10.0
         assert rate.hex() == key_rate_asymptotic(replace(p, v_a=10.0)).hex()
 
+    def test_end_optimum_settles_in_two_rounds(self, monkeypatch):
+        # The parabola through the end and its two inward neighbours peaks
+        # beyond the end, so the second round rates the last tol / 2 and
+        # finds the end best again.
+        p = ProtocolParams(v_r=0.1, v_a=1.0, eta=0.99, beta=1.0)
+        (v_star, rate), grids = self.search_grids(monkeypatch, p)
+        assert len(grids) == 2
+        assert grids[1][0] == 10.0 - 0.5e-6
+        assert v_star == 10.0
+        assert rate.hex() == key_rate_asymptotic(replace(p, v_a=10.0)).hex()
+
+    @staticmethod
+    def stand_in_search(monkeypatch, rate):
+        """optimal_modulation over (0, 10) of the stand-in key rate(v_a), and its grids."""
+        grids = []
+
+        def information(p, v_a):
+            grids.append(np.array(v_a))
+            return rate(np.asarray(v_a, dtype=float)).tolist()
+
+        monkeypatch.setattr(protocol, "mutual_information_ab_series", information)
+        monkeypatch.setattr(protocol, "holevo_eb_series", lambda p, v_a: [0.0] * len(v_a))
+        monkeypatch.setattr(protocol, "key_rate_asymptotic", lambda p: float(rate(p.v_a)))
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
+        return optimal_modulation(p, (0.0, 10.0)), grids
+
+    @pytest.mark.parametrize("rate", [
+        lambda v_a: np.exp(-v_a),
+        lambda v_a: 1.0 - (v_a + 0.5) ** 2,
+    ], ids=["convex", "concave-peak-beyond-the-end"])
+    def test_rate_falling_from_the_end_settles_in_two_rounds(self, monkeypatch, rate):
+        # the parabola through the end and its inward neighbours peaks
+        # nowhere inward of the end: it is convex, or concave with its vertex
+        # half a unit beyond the end
+        (v_star, r), grids = self.stand_in_search(monkeypatch, rate)
+        assert len(grids) == 2
+        assert v_star == 0.0
+        assert r == rate(0.0)
+
+    def test_peak_just_inside_the_end_is_found(self, monkeypatch):
+        # The first round rates the end 10 best; the parabola through it and
+        # its neighbours peaks 0.012 steps inward, so the next window is the
+        # last h / 20 of the bracket, which holds the peak at 9.99.  A round
+        # within tol / 2 of the end would miss it and need 8 rounds in all.
+        (v_star, rate), grids = self.stand_in_search(monkeypatch,
+                                                     lambda v_a: -(v_a - 9.99) ** 2)
+        assert v_star == pytest.approx(9.99, abs=1e-3)
+        assert rate >= -1e-6
+        assert len(grids) <= 5
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.05], ids=["lossy", "excess-noise"])
     def test_rate_not_below_any_rated_point(self, monkeypatch, epsilon):
         rng = np.random.default_rng(18)
@@ -691,6 +741,14 @@ class TestOptimalModulation:
             optimal_modulation(p, (1.0, 0.5))
         with pytest.raises(ValueError):
             optimal_modulation(p, (-0.5, 1.0))
+
+    @pytest.mark.parametrize("v_a_range", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)],
+                             ids=["inf", "nan-lo", "nan-hi"])
+    def test_non_finite_range_raises(self, v_a_range):
+        # rejected before any grid is built from it
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
+        with pytest.raises(ValueError, match=r"invalid modulation range \("):
+            optimal_modulation(p, v_a_range)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
     def test_invalid_tolerance(self, tol):
