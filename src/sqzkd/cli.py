@@ -153,29 +153,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _json_cell(value):
-    """A cell as the JSON output holds it: a non-finite float as its text."""
-    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def _table_rows(series, grid_rows, cell):
-    """A sweep's rows, every cell converted by ``cell``.
+def _emit_rows(columns: list[str], series, grid_rows, fmt: str, out_path: str | None) -> None:
+    """Write a sweep's table as CSV or as a JSON list of one object per row.
 
     ``series`` holds ``(label cells, value cells per grid point)`` pairs and
     ``grid_rows`` the grid's cells per point.  A row is the series' labels,
-    the point's grid cells, then its value cells.  Labels and grid cells
-    repeat across rows, so each is converted once.
+    the point's grid cells, then its value cells.  JSON holds a non-finite
+    float as its text.
     """
-    grid = [[cell(c) for c in point] for point in grid_rows]
-    for labels, values in series:
-        head = [cell(c) for c in labels]
-        for point, cells in zip(grid, values):
-            yield [*head, *point, *map(cell, cells)]
-
-
-def _emit_rows(columns: list[str], series, grid_rows, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
-        rows = [dict(zip(columns, row)) for row in _table_rows(series, grid_rows, _json_cell)]
+        rows = [{key: str(c) if isinstance(c, float) and not math.isfinite(c) else c
+                 for key, c in zip(columns, (*labels, *point, *cells))}
+                for labels, values in series for point, cells in zip(grid_rows, values)]
         text = json.dumps(rows, indent=2) + "\n"
     else:
         text = ",".join(columns) + "\n" + "".join(_csv_series(labels, values, grid_rows)
@@ -242,7 +231,12 @@ def _sweep(args, labels: list[str], series, values: list[str], cells) -> int:
     if lo is None:
         lo = GRID_START_DB if insert is None else insert
     grid = _db_grid(lo, args.va_max_db, args.va_step_db, insert)
-    v_a_grid = [db_to_snu(db) for db in grid]
+    try:
+        v_a_grid = [db_to_snu(db) for db in grid]
+    except OverflowError:
+        raise ValueError(f"--va-max-db {args.va_max_db} puts a grid point at {grid[-1]} dB, beyond "
+                         f"the largest float variance ({snu_to_db(sys.float_info.max):.2f} dB)"
+                         ) from None
     solved = [(head, [cells(point) for point in security_region(base, v_a_grid)])
               for head, base in series]
     _emit_rows([*labels, "v_a_db", "v_a_snu", *values], solved, list(zip(grid, v_a_grid)),
@@ -321,12 +315,8 @@ def cmd_emulate(args) -> int:
     normalized = generate_calibrated_samples(params, cfg)
     recon = reconstruct_covariance(normalized)
 
-    batch_path = f"{args.out}_samples.csv"
-    recon_path = f"{args.out}_reconstruction.json"
-    report_path = f"{args.out}_report.json"
-    normalized.write_csv(batch_path)
-    with open(recon_path, "w", encoding="utf-8") as fh:
-        json.dump(recon.to_json_dict(), fh, indent=2)
+    normalized.write_csv(f"{args.out}_samples.csv")
+    _write_text(f"{args.out}_reconstruction.json", json.dumps(recon.to_json_dict(), indent=2))
 
     expected = expected_record_covariance(params, cfg)
     lines = ["entry        data          expected      std_err       sigma"]
@@ -338,24 +328,21 @@ def cmd_emulate(args) -> int:
             sigma = abs(data_v - exp_v) / err
             lines.append(f"({i},{j})    {data_v:13.6g} {exp_v:13.6g} {err:13.6g} {sigma:9.3f}")
 
+    report_path = f"{args.out}_report.json"
     try:
         report = security_from_data(recon, params.beta, v_n_trusted=0.0)
     except UnphysicalStateError as exc:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump({"error": str(exc)}, fh, indent=2)
+        _write_text(report_path, json.dumps({"error": str(exc)}, indent=2))
         lines.append(f"security evaluation skipped: {exc}")
-        _write_text(None, "\n".join(lines) + "\n")
-        return 0
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-
-    exact = ReconstructedCM(moments=expected, n_samples=cfg.n_samples,
-                            standard_errors=np.zeros_like(expected))
-    analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
-    lines.append("")
-    lines.append("quantity        data          model")
-    for key, value in report.as_dict().items():
-        lines.append(f"{key:15s} {value:13.6g} {getattr(analytic, key):13.6g}")
+    else:
+        _write_text(report_path, report.to_json() + "\n")
+        exact = ReconstructedCM(moments=expected, n_samples=cfg.n_samples,
+                                standard_errors=np.zeros_like(expected))
+        analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
+        lines.append("")
+        lines.append("quantity        data          model")
+        for key, value in report.as_dict().items():
+            lines.append(f"{key:15s} {value:13.6g} {getattr(analytic, key):13.6g}")
     _write_text(None, "\n".join(lines) + "\n")
     return 0
 
@@ -538,19 +525,15 @@ def main(argv=None) -> int:
     parser, commands = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        if args.command is not None and args.config is not None:
+        if args.command is None:
+            parser.print_help()
+            return 1
+        if args.config is not None:
             commands[args.command].set_config(args.config)
             args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if not exc.code else 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        parser.print_help()
-        return 1
-    try:
-        return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -405,8 +405,8 @@ def key_rate_asymptotic(p: ProtocolParams) -> float:
 
 def decoupling_modulation(v_r: float) -> float:
     """Modulation variance that decouples the eavesdropper in a lossy channel: 1 - v_r."""
-    if v_r <= 0.0:
-        raise ValueError(f"squeezed variance must be positive, got {v_r}")
+    if not v_r > 0.0:  # NaN too
+        raise ValueError(f"squeezed variance v_r must be positive, got {v_r}")
     if v_r > 1.0:
         raise ValueError(
             f"no non-negative decoupling modulation exists for v_r = {v_r} > 1"

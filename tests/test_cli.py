@@ -231,6 +231,13 @@ class TestFig4:
                    for r in squeezed)
         assert any(float(r["beta_star_n1e10"]) < 1.0 for r in squeezed)
 
+    def test_nan_squeezing_is_an_error(self, capsys):
+        code, out, err = run(capsys, "fig4", "--squeezing", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "v_r" in err
+        assert err.count("\n") == 1
+
     def test_coherent_source_starts_at_minus_20_db(self, capsys, tmp_path):
         target = tmp_path / "fig4.csv"
         code, _, _ = run(capsys, "fig4", "--squeezing", "1", "--out", str(target))
@@ -349,6 +356,19 @@ class TestSweepWriter:
             "coherent,0.58,10,10,nan,true", "squeezed,0.098,-3,0.5,-0,false",
             "squeezed,0.098,0,1,4.94065645841e-324,true", "squeezed,0.098,10,10,1e+300,false"]
 
+    def test_json_holds_non_finite_cells_as_text(self, tmp_path):
+        target = tmp_path / "rows.json"
+        cli._emit_rows(self.COLUMNS, self.SERIES, self.GRID, "json", str(target))
+        text = target.read_text(encoding="utf-8")
+        for line in ['"value": "inf"', '"value": "-inf"', '"value": "nan"', '"flag": true',
+                     '"flag": false', '"value": -0.0', '"value": 5e-324', '"value": 1e+300']:
+            assert line in [held.strip().rstrip(",") for held in text.splitlines()]
+        expected = [
+            dict(zip(self.COLUMNS, [*labels, *point, *(c if math.isfinite(c) else str(c)
+                                                       for c in cells)]))
+            for labels, values in self.SERIES for point, cells in zip(self.GRID, values)]
+        assert text == json.dumps(expected, indent=2) + "\n"
+
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
     def test_json_holds_the_reference_rows(self, capsys, command):
         reference = Path(__file__).parent.parent / "bench" / "reference" / f"{command}.csv"
@@ -390,6 +410,16 @@ class TestModulationGridBounds:
             _db_grid(0.0, float(cli.MAX_GRID_POINTS), 1.0)
         with pytest.raises(ValueError, match="points"):
             _db_grid(-1e308, 1e308, 1.0)  # the span overflows to inf
+
+    def test_grid_beyond_the_largest_float_rejected(self, capsys, tmp_path):
+        target = tmp_path / "fig2.csv"
+        for out_flags in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "fig2", "--va-max-db", "4000", *out_flags)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and "--va-max-db" in err
+            assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_over_the_limit_rejected(self, capsys, monkeypatch):
         # A lowered limit keeps the test small even where the limit is not enforced.
@@ -436,6 +466,21 @@ class TestEmulate:
                            "--eta", "0.58", "--n-samples", "10", "--seed", "3",
                            "--out", str(tmp_path / "tiny"))
         assert code == 0
+
+    def test_skipped_evaluation_writes_its_error(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "emulate", "--vr", "0.5", "--va", "0.5",
+                           "--eta", "0.58", "--n-samples", "10", "--seed", "3",
+                           "--out", str(tmp_path / "tiny"))
+        assert code == 0
+        text = (tmp_path / "tiny_report.json").read_text(encoding="utf-8")
+        message = json.loads(text)["error"]
+        assert message.startswith("reconstructed matrix is statistically unphysical")
+        assert text == json.dumps({"error": message}, indent=2)
+        assert out.endswith("\n")
+        lines = out.splitlines()
+        assert lines[0].split() == ["entry", "data", "expected", "std_err", "sigma"]
+        assert len(lines) == 17
+        assert lines[-1] == f"security evaluation skipped: {message}"
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -773,6 +818,15 @@ class TestConfigShape:
         for flag, value in (("--n-samples", "2000.9"), ("--seed", "3.7")):
             code, _, _ = run(capsys, "emulate", flag, value, "--out", str(tmp_path / "run"))
             assert code == 1
+
+    def test_deeply_nested_config_is_an_error(self, capsys, tmp_path):
+        # json.load gives up on this with RecursionError
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "report", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_db_flag_out_of_range(self, capsys):
         code, out, err = run(capsys, "report", "--va-db", "4000")

@@ -519,6 +519,8 @@ class TestDecouplingModulation:
             decoupling_modulation(1.5)
         with pytest.raises(ValueError):
             decoupling_modulation(0.0)
+        with pytest.raises(ValueError, match="v_r"):
+            decoupling_modulation(math.nan)
 
 
 class TestOptimalModulation:
