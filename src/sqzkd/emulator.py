@@ -426,8 +426,8 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if v_n_trusted < 0.0:
-        raise ValueError(f"v_n_trusted must be >= 0, got {v_n_trusted}")
+    if not (v_n_trusted >= 0.0 and math.isfinite(v_n_trusted)):
+        raise ValueError(f"v_n_trusted must be finite and >= 0, got {v_n_trusted}")
     m = recon.moments
     tol = STATISTICAL_PHYSICALITY_TOL
     nu_min = symplectic_eigenvalues(condition_on_label(m))[-1]

@@ -18,6 +18,7 @@ squeezing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -231,6 +232,8 @@ def holevo_from_cm(cm: CovarianceMatrix, v_n: float = 0.0,
     """
     if cm.n_modes < 2:
         raise ValueError(f"need the receiver's mode and at least one more, got {cm.n_modes} mode")
+    if not (v_n >= 0.0 and math.isfinite(v_n)):
+        raise ValueError(f"v_n must be finite and >= 0, got {v_n}")
     return _holevo_stack(cm.entries[np.newaxis], v_n, tol)[0][0]
 
 
@@ -264,8 +267,9 @@ def holevo_eb(p: ProtocolParams) -> float:
     its X entry, to V_{E|B}^X = (V + v_n (1-eta) V + eta v_n) / (v_n + 1 - eta
     + eta V).  So chi = g(sqrt(V_E^X V_E^P)) - g(sqrt(V_{E|B}^X V_E^P)), which
     is 0 at v_a = 1 - v_r.  With excess noise her state has two modes and
-    holevo_from_cm evaluates the bound on build_joint_state.  Raises
-    ValueError where a variance overflows double precision.
+    holevo_from_cm evaluates the bound on build_joint_state, a solve kept for
+    the 16 points last asked for.  Raises ValueError where a variance
+    overflows double precision.
     """
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
@@ -273,11 +277,14 @@ def holevo_eb(p: ProtocolParams) -> float:
     return _noisy_holevo(p)[0]
 
 
+# a link design reads its point three times: search, report, finite-size rate
+@functools.lru_cache(maxsize=16)
 def _noisy_holevo(p: ProtocolParams) -> tuple[float, np.ndarray, float]:
-    """holevo_eb with excess noise, the (B, E1, E2) state it solved and that state's S(E)."""
+    """holevo_eb with excess noise, the (B, E1, E2) state it solved (read-only) and its S(E)."""
     with np.errstate(over="ignore", invalid="ignore"):  # it raises on every overflow
         joint = _joint_states(p, np.array([p.v_a]))
         (chi,), (s_e,) = _holevo_stack(joint, p.v_n, PHYSICALITY_TOL)
+    joint.setflags(write=False)
     return chi, joint[0], s_e
 
 
@@ -361,9 +368,14 @@ def quantum_mutual_information_eb(p: ProtocolParams) -> float:
 
     A property of the quantum state alone: the receiver's electronic noise
     does not enter.  Vanishes only with no squeezing and no modulation, or
-    for a lossless channel.
+    for a lossless channel.  qmi_from_cm(build_joint_state(p)) bit for bit;
+    with excess noise it reads holevo_eb's kept solve of the point, state and
+    S(E), and so raises what holevo_eb raises.
     """
-    return qmi_from_cm(build_joint_state(p))
+    if p.epsilon == 0.0:
+        return qmi_from_cm(build_joint_state(p))
+    _, joint, s_e = _noisy_holevo(p)
+    return _qmi(joint, PHYSICALITY_TOL, s_e)
 
 
 def qmi_from_cm(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
@@ -519,16 +531,12 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
 def security_report(p: ProtocolParams) -> SecurityReport:
     """All derived security quantities for one protocol instance.
 
-    Each field equals its standalone function bit for bit, and an error is
-    the one those functions raise first in field order.  With excess noise
-    one (B, E1, E2) state serves chi_E and the QMI, and the QMI takes S(E)
-    from the Holevo bound's stacked solve.
+    Each field is its standalone function's value, and an error is the one
+    those functions raise first in field order.  With excess noise chi_E
+    and the QMI share one cached solve of the point (see holevo_eb).
     """
     i_ab = mutual_information_ab(p)
-    if p.epsilon == 0.0:
-        chi = holevo_eb(p)
-    else:
-        chi, joint, s_e = _noisy_holevo(p)
+    chi = holevo_eb(p)
     c_eb, i_eb = classical_leakage(p, "B")
     c_ea, i_ea = classical_leakage(p, "A")
     return SecurityReport(
@@ -539,6 +547,5 @@ def security_report(p: ProtocolParams) -> SecurityReport:
         c_ea=c_ea,
         i_eb_classical=i_eb,
         i_ea_classical=i_ea,
-        qmi_eb=(quantum_mutual_information_eb(p) if p.epsilon == 0.0
-                else _qmi(joint, PHYSICALITY_TOL, s_e)),
+        qmi_eb=quantum_mutual_information_eb(p),
     )

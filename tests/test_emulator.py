@@ -356,6 +356,13 @@ class TestSecurityFromData:
         with pytest.raises(ValueError, match="v_n_trusted"):
             security_from_data(recon, beta=0.5, v_n_trusted=-1.0)
 
+    @pytest.mark.parametrize("v_n", [math.inf, math.nan, -0.3])
+    def test_trusted_noise_must_be_finite_and_non_negative(self, v_n):
+        # inf gave i_ab = nan and key_rate = nan with a RuntimeWarning
+        recon = exact_reconstruction(DECOUPLED, ideal_config(1000, seed=0))
+        with pytest.raises(ValueError, match="v_n_trusted must be finite and >= 0"):
+            security_from_data(recon, 0.95, v_n_trusted=v_n)
+
 
 class TestCsvExport:
     def test_header_and_shape(self, tmp_path):

@@ -31,9 +31,11 @@ from sqzkd.protocol import (
     classical_leakage,
     holevo_eb,
     holevo_eb_series,
+    holevo_from_cm,
     mutual_information_ab,
     mutual_information_ab_series,
     optimal_modulation,
+    qmi_from_cm,
     quantum_mutual_information_eb,
     security_report,
 )
@@ -167,12 +169,23 @@ def test_key_rate_below_plob_bound(v_r, eta, delta_v, v_n, epsilon, beta, grid):
 @given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
        v_n=v_n_values, epsilon=st.one_of(st.just(0.0), st.floats(0.0, 0.1, exclude_min=True)))
 def test_report_equals_the_standalone_functions(v_r, v_a, eta, delta_v, v_n, epsilon):
-    # with excess noise the report solves one joint state and takes S(E)
-    # from the Holevo bound's stacked solve
+    # with excess noise chi_E and the QMI read one cached solve of the point;
+    # the next property compares that solve with the joint state solved alone
     p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
     report = security_report(p)
     assert report.chi_e.hex() == holevo_eb(p).hex()
     assert report.qmi_eb.hex() == quantum_mutual_information_eb(p).hex()
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values, epsilon=st.floats(0.0, 0.1, exclude_min=True))
+def test_noisy_point_equals_its_joint_state_solved_alone(v_r, v_a, eta, delta_v, v_n, epsilon):
+    # holevo_eb and the QMI share one stacked solve, which also gives S(E)
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    joint = build_joint_state(p)
+    assert quantum_mutual_information_eb(p).hex() == qmi_from_cm(joint).hex()
+    assert holevo_eb(p).hex() == holevo_from_cm(joint, p.v_n).hex()
 
 
 @settings(max_examples=40, deadline=None)  # each example rates 10001 grid points

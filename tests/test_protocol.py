@@ -19,6 +19,12 @@ from sqzkd.errors import (
     SymplecticPairingError,
     UnphysicalStateError,
 )
+from sqzkd.finite_size import (
+    FiniteSizeParams,
+    beta_threshold,
+    delta_correction,
+    key_rate_finite,
+)
 from sqzkd.gaussian import (
     CovarianceMatrix,
     condition_on_label,
@@ -307,6 +313,13 @@ class TestHolevoFromCmErrors:
             holevo_from_cm(CovarianceMatrix(np.array(entries)), v_n)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("v_n", [math.inf, math.nan, -0.3])
+    def test_trusted_noise_must_be_finite_and_non_negative(self, v_n):
+        # -0.3 gave 0.2154 bits where the model gives 0.1760
+        joint = build_joint_state(ProtocolParams(v_r=0.5, v_a=2.0, eta=0.58))
+        with pytest.raises(ValueError, match="v_n must be finite and >= 0"):
+            holevo_from_cm(joint, v_n)
 
 
 class TestQmiFromCmErrors:
@@ -793,3 +806,66 @@ class TestSecurityReport:
         data = security_report(p).as_dict()
         assert list(data) == ["i_ab", "chi_e", "key_rate", "c_eb", "c_ea",
                               "i_eb_classical", "i_ea_classical", "qmi_eb"]
+
+
+class TestPointCache:
+    """With excess noise each operating point is solved once and kept, a failing one never."""
+
+    NOISY = ProtocolParams(v_r=0.3, v_a=0.7, eta=0.2, delta_v=2.0, epsilon=0.08, v_n=0.3,
+                           beta=0.95)
+    FINITE = FiniteSizeParams.from_total(1e10)
+    OUTPUTS = {
+        "holevo_eb": holevo_eb,
+        "key_rate_asymptotic": key_rate_asymptotic,
+        "quantum_mutual_information_eb": quantum_mutual_information_eb,
+        "security_report": lambda p: list(security_report(p).as_dict().values()),
+        "key_rate_finite": lambda p: key_rate_finite(p, TestPointCache.FINITE),
+        "beta_threshold": beta_threshold,
+    }
+
+    @pytest.mark.parametrize("name", list(OUTPUTS))
+    def test_warm_equals_cold(self, name):
+        output = self.OUTPUTS[name]
+        protocol._noisy_holevo.cache_clear()
+        cold = output(self.NOISY)
+        warm = output(self.NOISY)
+        assert protocol._noisy_holevo.cache_info().hits > 0
+        assert [float(v).hex() for v in np.atleast_1d(warm)] \
+            == [float(v).hex() for v in np.atleast_1d(cold)]
+
+    def test_cached_state_is_read_only(self):
+        _, joint, _ = protocol._noisy_holevo(self.NOISY)
+        assert not joint.flags.writeable
+        with pytest.raises(ValueError):
+            joint[0, 0] = 1.0
+
+    def test_failing_point_raises_on_every_call(self):
+        # ProtocolParams' documented point beyond the domain
+        p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.999999, epsilon=0.035)
+        protocol._noisy_holevo.cache_clear()
+        for output in (holevo_eb, security_report, quantum_mutual_information_eb, holevo_eb):
+            with pytest.raises(UnphysicalStateError):
+                output(p)
+        assert protocol._noisy_holevo.cache_info().currsize == 0
+
+    def test_a_design_solves_its_point_once(self, monkeypatch):
+        # search, then report, then the finite-size rate at the optimum
+        solved = []
+        stack = protocol._holevo_stack
+
+        def counted(joint, v_n, tol):
+            solved.append(joint.shape[0])
+            return stack(joint, v_n, tol)
+
+        monkeypatch.setattr(protocol, "_holevo_stack", counted)
+        protocol._noisy_holevo.cache_clear()
+        v_a, rate = optimal_modulation(self.NOISY, (0.0, 10.0))
+        best = self.NOISY.with_modulation(v_a)
+        report = security_report(best)
+        finite = key_rate_finite(best, self.FINITE)
+        assert solved.count(1) == 1
+        assert protocol._noisy_holevo.cache_info().misses == 1
+        assert report.key_rate == rate
+        assert finite == (self.FINITE.n_key / self.FINITE.n_total) * (
+            rate - delta_correction(self.FINITE))
+
