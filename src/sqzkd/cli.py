@@ -29,7 +29,7 @@ from .emulator import (
     security_from_data,
 )
 from .errors import UnphysicalStateError
-from .finite_size import FiniteSizeParams, security_region
+from .finite_size import FiniteSizeParams, _threshold, delta_correction, security_region
 from .gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
@@ -167,26 +167,29 @@ def _emit_rows(columns: list[str], series, grid_rows, fmt: str, out_path: str | 
                 for labels, values in series for point, cells in zip(grid_rows, values)]
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        text = ",".join(columns) + "\n" + "".join(_csv_series(labels, values, grid_rows)
+        grid = [list(map(_format_cell, column)) for column in zip(*grid_rows)]
+        text = ",".join(columns) + "\n" + "".join(_csv_series(labels, values, grid)
                                                    for labels, values in series)
     _write_text(out_path, text)
 
 
-def _csv_series(labels, values, grid_rows) -> str:
+def _csv_series(labels, values, grid) -> str:
     """One series' CSV rows, as csv.writer writes them with every cell through _format_cell.
 
-    The rows are one ``%`` over a row format: the formatted labels, then
-    ``%.12g`` for a column whose first cell is a float (all its cells must
-    be) and ``%s`` for a column that _format_cell converts.  No cell holds a
-    delimiter, quote or line break, so none is quoted.
+    ``grid`` holds the grid's cells, formatted, column by column.  The rows
+    are one ``%`` over a row format: the formatted labels, ``%s`` for each
+    grid cell, then ``%.12g`` for a value column whose first cell is a float
+    (all its cells must be) and ``%s`` for one that _format_cell converts.
+    No cell holds a delimiter, quote or line break, so none is quoted.
     """
-    rows = [(*point, *cells) for point, cells in zip(grid_rows, values)]
-    floats = [isinstance(c, float) for c in rows[0]]
+    columns = [*grid, *(column if isinstance(column[0], float) else list(map(_format_cell, column))
+                        for column in zip(*values))]
     row_fmt = "".join(_format_cell(c).replace("%", "%%") + "," for c in labels) \
-        + ",".join("%.12g" if f else "%s" for f in floats) + "\n"
-    if not all(floats):
-        rows = [[c if f else _format_cell(c) for f, c in zip(floats, row)] for row in rows]
-    return (row_fmt * len(rows)) % tuple(c for row in rows for c in row)
+        + ",".join("%.12g" if isinstance(column[0], float) else "%s" for column in columns) + "\n"
+    cells = [None] * (len(columns) * len(values))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return (row_fmt * len(values)) % tuple(cells)
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -285,7 +288,7 @@ def _finite_column(n_total: float) -> str:
 
 
 def cmd_fig4(args) -> int:
-    finite_columns = {}
+    finite_columns = {}  # column name: its Delta
     for n_total in args.finite_n:
         fp = FiniteSizeParams.from_total(n_total, eps_smooth=args.eps_smooth, eps_pa=args.eps_pa)
         if args.n_key is not None:
@@ -293,7 +296,7 @@ def cmd_fig4(args) -> int:
         column = _finite_column(n_total)
         if column in finite_columns:
             raise ValueError(f"finite-size total {n_total:g} is given more than once")
-        finite_columns[column] = fp
+        finite_columns[column] = delta_correction(fp)
 
     return _sweep(args, ["protocol", "epsilon"],
                   (((name, epsilon),
@@ -302,7 +305,8 @@ def cmd_fig4(args) -> int:
                    for epsilon in args.eps),
                   ["beta_star_asymptotic", *finite_columns, "secure_flag"],
                   lambda point: (point.beta_star,
-                                 *(point.beta_star_at(fp) for fp in finite_columns.values()),
+                                 *(_threshold(point.chi_e, point.i_ab, delta)
+                                   for delta in finite_columns.values()),
                                  point.secure))
 
 
@@ -348,6 +352,8 @@ def cmd_emulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not 0.0 <= args.tol < 1.0:
+        raise ValueError(f"--tol must lie in [0, 1), got {args.tol}")
     with open(args.matrix, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if isinstance(payload, dict):

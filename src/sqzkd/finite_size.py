@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ThresholdUndefinedError
 from .protocol import (
@@ -44,6 +45,9 @@ class FiniteSizeParams:
     eps_pa: float = 1e-10
 
     def __post_init__(self):
+        for name in ("n_total", "n_key"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.n_key <= self.n_total:
             raise ValueError(
                 f"need 0 < n_key <= n_total, got n_key={self.n_key}, n_total={self.n_total}"
@@ -74,12 +78,11 @@ def key_rate_finite(p: ProtocolParams, fp: FiniteSizeParams) -> float:
     return (fp.n_key / fp.n_total) * (key_rate_asymptotic(p) - delta_correction(fp))
 
 
-def _threshold(chi_e: float, i_ab: float, fp: FiniteSizeParams | None) -> float:
-    """(chi_E + Delta) / I_AB of a solved point, Delta 0 if ``fp`` is None; inf where I_AB is 0."""
+def _threshold(chi_e: float, i_ab: float, delta: float) -> float:
+    """(chi_E + Delta) / I_AB of a solved point; inf where I_AB is 0."""
     if i_ab <= 0.0:
         return math.inf
-    penalty = delta_correction(fp) if fp is not None else 0.0
-    return (chi_e + penalty) / i_ab
+    return (chi_e + delta) / i_ab
 
 
 def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> float:
@@ -94,11 +97,10 @@ def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> flo
         raise ThresholdUndefinedError(
             "efficiency threshold undefined: Shannon information I_AB is zero"
         )
-    return _threshold(chi_e, i_ab, fp)
+    return _threshold(chi_e, i_ab, delta_correction(fp) if fp is not None else 0.0)
 
 
-@dataclass(frozen=True)
-class RegionPoint:
+class RegionPoint(NamedTuple):
     """One point of a security-region curve, with the chi_E and I_AB behind it."""
 
     v_a: float
@@ -109,7 +111,7 @@ class RegionPoint:
 
     def beta_star_at(self, fp: FiniteSizeParams | None) -> float:
         """Threshold at this point for another sample accounting; inf where undefined."""
-        return _threshold(self.chi_e, self.i_ab, fp)
+        return _threshold(self.chi_e, self.i_ab, delta_correction(fp) if fp is not None else 0.0)
 
 
 def security_region(p_base: ProtocolParams, v_a_grid,
@@ -127,10 +129,8 @@ def security_region(p_base: ProtocolParams, v_a_grid,
     grid = list(v_a_grid)
     if not grid:
         raise ValueError("modulation grid must be non-empty")
-    points = []
-    for v_a, chi_e, i_ab in zip(grid, holevo_eb_series(p_base, grid),
-                                mutual_information_ab_series(p_base, grid)):
-        star = _threshold(chi_e, i_ab, fp)
-        points.append(RegionPoint(v_a=v_a, beta_star=star, secure=star < 1.0,
-                                  chi_e=chi_e, i_ab=i_ab))
-    return points
+    chi_e, i_ab = holevo_eb_series(p_base, grid), mutual_information_ab_series(p_base, grid)
+    delta = delta_correction(fp) if fp is not None else 0.0
+    stars = [_threshold(chi, info, delta) for chi, info in zip(chi_e, i_ab)]
+    return list(map(RegionPoint._make,
+                    zip(grid, stars, [star < 1.0 for star in stars], chi_e, i_ab)))

@@ -331,6 +331,20 @@ class TestFig4FiniteColumns:
         assert "more than once" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv, field", [
+        (("--finite-n", "inf"), "n_total"),
+        (("--finite-n", "1e10", "nan"), "n_total"),
+        (("--n-key", "inf"), "n_key"),
+    ], ids=["inf-total", "nan-total", "inf-key"])
+    def test_non_finite_count_is_an_error(self, capsys, tmp_path, argv, field):
+        target = tmp_path / "fig4.csv"
+        code, out, err = run(capsys, "fig4", *self.GRID, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be finite, got ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
 
 class TestSweepWriter:
     COLUMNS = ["protocol", "eta", "v_a_db", "v_a_snu", "value", "flag"]
@@ -377,6 +391,27 @@ class TestSweepWriter:
         rows = [{key: _format_cell(value) for key, value in row.items()}
                 for row in json.loads(out)]
         assert rows == read_csv(reference)
+
+    @pytest.mark.parametrize("argv", [
+        ("fig4", "--finite-n", "5", "1.5e10", "2e10", "--eps", "0", "0.01", "0.035", "0.05"),
+        ("fig4", "--finite-n"),
+        ("fig4", "--eps"),
+        ("fig2", "--transmissions"),
+        ("fig3", "--transmissions", "0.1", "0.9", "--beta", "0.9", "--squeezing", "0.3",
+         "--dv", "0.5", "--vn", "0.1"),
+        ("fig4", "--va-min-db", "-400", "--va-max-db", "-399", "--va-step-db", "1"),
+    ], ids=["finite-and-eps", "no-finite", "no-eps", "no-transmissions", "fig3-custom",
+            "undefined"])
+    def test_csv_rows_are_the_json_rows_formatted(self, capsys, argv):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = [{key: _format_cell(value) for key, value in row.items()}
+                for row in json.loads(out)]
+        table = list(csv.DictReader(io.StringIO(text)))
+        assert rows == table
+        assert len(text.splitlines()) == len(rows) + 1
 
 
 class TestModulationGrid:
@@ -555,6 +590,23 @@ class TestValidate:
         assert out == ""
         assert err == ("error: labelled moments must be square of odd dimension at least 3, "
                        "got shape (1, 1)\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "1", "2"])
+    def test_tolerance_outside_0_to_1_is_an_error(self, capsys, tmp_path, tol):
+        path = tmp_path / "vac.json"
+        path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        code, out, err = run(capsys, "validate", str(path), f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --tol must lie in [0, 1), got {float(tol)}\n"
+
+    @pytest.mark.parametrize("tol, code", [("0", 0), ("0.999", 2)])
+    def test_tolerance_ends(self, capsys, tmp_path, tol, code):
+        # the vacuum meets the bound 1 exactly; 0.001 lies below 1 - 0.999
+        path = tmp_path / "cm.json"
+        variance = 1.0 if code == 0 else 0.0005
+        path.write_text(json.dumps([[variance, 0.0], [0.0, variance]]))
+        assert run(capsys, "validate", str(path), "--tol", tol)[0] == code
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

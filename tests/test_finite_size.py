@@ -38,6 +38,23 @@ class TestFiniteSizeParams:
         with pytest.raises(ValueError):
             FiniteSizeParams(n_key=5, n_total=10, eps_pa=1.0)
 
+    @pytest.mark.parametrize("n_key, n_total, field", [
+        (5.0, math.inf, "n_total"),
+        (math.inf, math.inf, "n_total"),
+        (5.0, math.nan, "n_total"),
+        (math.inf, 10.0, "n_key"),
+        (math.nan, 10.0, "n_key"),
+        (-math.inf, 10.0, "n_key"),
+    ])
+    def test_non_finite_count_names_its_field(self, n_key, n_total, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            FiniteSizeParams(n_key=n_key, n_total=n_total)
+
+    def test_infinite_total_rejected_before_any_rate(self):
+        # inf / inf made key_rate_finite nan
+        with pytest.raises(ValueError, match="^n_total must be finite, got inf$"):
+            FiniteSizeParams.from_total(math.inf)
+
     def test_default_split(self):
         fp = FiniteSizeParams.from_total(1e10)
         assert fp.n_key == 5e9
@@ -175,6 +192,13 @@ class TestSecurityRegion:
             assert l.beta_star < s.beta_star
             assert a.beta_star < l.beta_star
         assert any(l.secure for l in large)
+
+    def test_point_is_a_tuple_of_its_fields(self):
+        p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5)
+        (point,) = security_region(p, [1.0])
+        assert point == (point.v_a, point.beta_star, point.secure, point.chi_e, point.i_ab)
+        assert point._fields == ("v_a", "beta_star", "secure", "chi_e", "i_ab")
+        assert point.beta_star_at(None) == point.beta_star
 
     def test_order_follows_grid(self):
         p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5)

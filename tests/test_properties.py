@@ -23,7 +23,8 @@ from sqzkd.emulator import (
     expected_record_covariance,
     security_from_data,
 )
-from sqzkd.finite_size import security_region
+from sqzkd.errors import ThresholdUndefinedError
+from sqzkd.finite_size import FiniteSizeParams, beta_threshold, security_region
 from sqzkd.gaussian import CovarianceMatrix, apply_beamsplitter, db_to_snu, snu_to_db
 from sqzkd.protocol import (
     ProtocolParams,
@@ -150,6 +151,26 @@ def test_region_series_equals_points_bit_for_bit(v_r, eta, delta_v, v_n, epsilon
         alone = replace(p, v_a=v_a)
         assert point.chi_e.hex() == holevo_eb(alone).hex()
         assert point.i_ab.hex() == mutual_information_ab(alone).hex()
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
+       epsilon=epsilon_values, grid=v_a_series,
+       fp=st.sampled_from([None, FiniteSizeParams.from_total(1e10)]))
+@example(v_r=0.5, eta=0.5, delta_v=0.0, v_n=0.0, epsilon=0.0, grid=[0.0, 0.5, 10.0],
+         fp=FiniteSizeParams.from_total(1e10))
+def test_region_thresholds_equal_beta_threshold_bit_for_bit(v_r, eta, delta_v, v_n, epsilon,
+                                                            grid, fp):
+    # security_region computes Delta once per grid, not once per point
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    for v_a, point in zip(grid, security_region(p, grid, fp), strict=True):
+        try:
+            expected = beta_threshold(replace(p, v_a=v_a), fp)
+        except ThresholdUndefinedError:  # I_AB is 0
+            expected = math.inf
+        assert point.beta_star.hex() == expected.hex()
+        assert point.beta_star_at(fp).hex() == expected.hex()
+        assert point.secure == (point.beta_star < 1.0)
 
 
 @PROPERTY_SETTINGS
