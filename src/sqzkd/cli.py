@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -38,7 +39,8 @@ from .gaussian import (
     snu_to_db,
     symplectic_eigenvalues,
 )
-from .protocol import ProtocolParams, decoupling_modulation, security_report
+from .protocol import (ProtocolParams, decoupling_modulation, holevo_eb_series,
+                       mutual_information_ab_series, security_report)
 
 COHERENT_REFERENCE_ETA = 0.58
 DEFAULT_SQUEEZING_SNU = 0.5
@@ -99,6 +101,9 @@ class _CommandParser(argparse.ArgumentParser):
         self.options: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
         del self.options["help"]  # ArgumentParser adds -h itself; it is no config key
+        # -1e1 and -inf are values; argparse 3.11's own pattern knows only -1 and -.5
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def add_argument(self, *args, **kwargs):
         return self._keep(super().add_argument(*args, **kwargs))
@@ -219,14 +224,14 @@ def _db_grid(min_db: float, max_db: float, step_db: float, insert: float | None 
     return sorted(values)
 
 
-def _sweep(args, labels: list[str], series, values: list[str], cells) -> int:
+def _sweep(args, labels: list[str], series, values: list[str], solve) -> int:
     """Emit one row per modulation-grid point of each ``(label cells, base params)`` series.
 
     The dB grid holds the exact decoupling point of ``--squeezing``, and an
     unset ``--va-min-db`` (fig4) starts it there.  A coherent source has
     decoupling modulation 0: nothing is inserted, and such a grid starts at
-    GRID_START_DB instead.  Each series is solved by one ``security_region``
-    call; ``cells`` maps a RegionPoint to the cells of the ``values`` columns.
+    GRID_START_DB instead.  ``solve(base, v_a_grid)`` computes a series' values
+    columns, and only what they need, each a sequence over the grid.
     """
     decoupling_v_a = decoupling_modulation(args.squeezing)
     insert = snu_to_db(decoupling_v_a) if decoupling_v_a > 0.0 else None
@@ -240,8 +245,7 @@ def _sweep(args, labels: list[str], series, values: list[str], cells) -> int:
         raise ValueError(f"--va-max-db {args.va_max_db} puts a grid point at {grid[-1]} dB, beyond "
                          f"the largest float variance ({snu_to_db(sys.float_info.max):.2f} dB)"
                          ) from None
-    solved = [(head, [cells(point) for point in security_region(base, v_a_grid)])
-              for head, base in series]
+    solved = [(head, list(zip(*solve(base, v_a_grid)))) for head, base in series]
     _emit_rows([*labels, "v_a_db", "v_a_snu", *values], solved, list(zip(grid, v_a_grid)),
                args.format, args.out)
     return 0
@@ -256,7 +260,7 @@ def cmd_report(args) -> int:
     return 0 if report.key_rate > 0.0 else 2
 
 
-def _modulation_sweep(args, column: str, value, fixed: dict) -> int:
+def _modulation_sweep(args, column: str, solve, fixed: dict) -> int:
     """fig2/fig3 rows: the coherent reference plus one squeezed series per transmission."""
     series = [("coherent", 1.0, COHERENT_REFERENCE_ETA, 0.0)]
     series += [("squeezed", args.squeezing, eta, args.dv) for eta in args.transmissions]
@@ -264,18 +268,19 @@ def _modulation_sweep(args, column: str, value, fixed: dict) -> int:
                   (((name, eta, *fixed.values()),
                     ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=dv, v_n=args.vn, **fixed))
                    for name, v_r, eta, dv in series),
-                  [column], lambda point: (value(point),))
+                  [column], lambda base, grid: (solve(base, grid),))
 
 
 def cmd_fig2(args) -> int:
-    return _modulation_sweep(args, "chi_e_bits", lambda point: point.chi_e, {})
+    return _modulation_sweep(args, "chi_e_bits", holevo_eb_series, {})
 
 
 def cmd_fig3(args) -> int:
-    # beta * I_AB - chi_E, as key_rate_asymptotic computes it
-    return _modulation_sweep(args, "key_rate_bits",
-                             lambda point: args.beta * point.i_ab - point.chi_e,
-                             {"beta": args.beta})
+    def key_rate(base, grid):  # beta * I_AB - chi_E, as key_rate_asymptotic computes it
+        chi = holevo_eb_series(base, grid)  # first: a failing grid raises what chi_E raises
+        return [args.beta * i - c for i, c in zip(mutual_information_ab_series(base, grid), chi)]
+
+    return _modulation_sweep(args, "key_rate_bits", key_rate, {"beta": args.beta})
 
 
 def _finite_column(n_total: float) -> str:
@@ -298,16 +303,17 @@ def cmd_fig4(args) -> int:
             raise ValueError(f"finite-size total {n_total:g} is given more than once")
         finite_columns[column] = delta_correction(fp)
 
+    def thresholds(base, grid):
+        _, stars, secure, chi, i_ab = zip(*security_region(base, grid))
+        return (stars, *([_threshold(c, i, delta) for c, i in zip(chi, i_ab)]
+                         for delta in finite_columns.values()), secure)
+
     return _sweep(args, ["protocol", "epsilon"],
                   (((name, epsilon),
                     ProtocolParams(v_r=v_r, v_a=1.0, eta=args.eta, epsilon=epsilon, v_n=args.vn))
                    for name, v_r in (("squeezed", args.squeezing), ("coherent", 1.0))
                    for epsilon in args.eps),
-                  ["beta_star_asymptotic", *finite_columns, "secure_flag"],
-                  lambda point: (point.beta_star,
-                                 *(_threshold(point.chi_e, point.i_ab, delta)
-                                   for delta in finite_columns.values()),
-                                 point.secure))
+                  ["beta_star_asymptotic", *finite_columns, "secure_flag"], thresholds)
 
 
 def cmd_emulate(args) -> int:

@@ -155,17 +155,24 @@ def entropy_g(nu: float) -> float:
     the equal form log2(a) + b log1p(1/b) / ln 2, with a = (nu+1)/2 and
     b = (nu-1)/2, is used instead.
     """
-    if nu <= 1.0:
-        if nu < 1.0 - PHYSICALITY_TOL:
-            raise UnphysicalStateError(
-                f"symplectic eigenvalue {nu!r} is below 1 and outside the clamping band"
-            )
-        return 0.0
-    a = (nu + 1.0) / 2.0
-    b = (nu - 1.0) / 2.0
+    return _entropy_gs([nu])[0]
+
+
+def _entropy_gs(nus: list[float], tol: float = PHYSICALITY_TOL) -> list[float]:
+    """entropy_g of each value of ``nus``, clamping [1 - tol, 1] to 1; (1, LARGE_NU] is inline."""
+    return [(a := (nu + 1.0) / 2.0) * math.log2(a) - (b := (nu - 1.0) / 2.0) * math.log2(b)
+            if 1.0 < nu <= LARGE_NU else _entropy_g_edge(nu, tol) for nu in nus]
+
+
+def _entropy_g_edge(nu: float, tol: float) -> float:
+    """_entropy_gs of a ``nu`` outside (1, LARGE_NU]: the clamp band, the large form, or nan."""
     if nu > LARGE_NU:
-        return math.log2(a) + b * math.log1p(1.0 / b) / math.log(2.0)
-    return a * math.log2(a) - b * math.log2(b)
+        b = (nu - 1.0) / 2.0
+        return math.log2((nu + 1.0) / 2.0) + b * math.log1p(1.0 / b) / math.log(2.0)
+    if nu < 1.0 - tol:
+        raise UnphysicalStateError(f"symplectic eigenvalue {nu!r} is below 1 and outside "
+                                   "the clamping band")
+    return 0.0 if nu <= 1.0 else math.nan
 
 
 def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
@@ -178,17 +185,18 @@ def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> f
 
 def _entropies(gammas: np.ndarray, tol: float) -> list[float]:
     """von_neumann_entropy of each matrix of a (k, 2n, 2n) stack, bit for bit."""
-    entropies = []
-    for spectrum in _symplectic_spectra(gammas).tolist():
-        if spectrum[-1] < 1.0 - tol:
+    spectra = _symplectic_spectra(gammas)
+    for lowest in spectra[:, -1].tolist():
+        if lowest < 1.0 - tol:
             # 12 significant digits, or more where needed to show the gap to the bound
             shown = next(text for digits in range(12, 18)
-                         if float(text := f"{spectrum[-1]:.{digits}g}") < 1.0 - tol)
+                         if float(text := f"{lowest:.{digits}g}") < 1.0 - tol)
             raise UnphysicalStateError(
                 f"symplectic eigenvalue {shown} is below 1 beyond the tolerance {tol}"
             )
-        entropies.append(sum(entropy_g(max(nu, 1.0)) for nu in spectrum))
-    return entropies
+    g = _entropy_gs(spectra.ravel().tolist(), tol)
+    # each matrix's entropies added by sum, not +=: from Python 3.12 sum compensates
+    return list(map(sum, zip(*[iter(g)] * spectra.shape[1])))
 
 
 def condition_on_label(moments) -> CovarianceMatrix:

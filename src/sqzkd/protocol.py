@@ -30,9 +30,9 @@ from .gaussian import (
     CovarianceMatrix,
     _condition_on_labels,
     _entropies,
+    _entropy_gs,
     _finite,
     _mix,
-    entropy_g,
 )
 
 # |chi_E| below this is treated as floating-point noise and clamped to zero;
@@ -209,16 +209,16 @@ def _snr_ratio(p: ProtocolParams, v_a):
     return (eta * v_a + base) / base
 
 
-def _clamp_chi(chi: float) -> float:
-    if not math.isfinite(chi):
-        raise ValueError(f"Holevo information computed as {chi!r} is not finite: "
-                         "a variance overflows double precision")
-    if chi < -CHI_NOISE_FLOOR:
-        raise RuntimeError(
-            f"Holevo information computed as {chi:.6g} < 0 beyond the noise floor; "
-            "this indicates a modelling inconsistency"
-        )
-    return max(chi, 0.0)
+def _clamp_chis(chis: list[float]) -> list[float]:
+    """Each chi of ``chis`` at least 0; the first not finite or below -CHI_NOISE_FLOOR raises."""
+    for chi in chis:
+        if not -CHI_NOISE_FLOOR <= chi < math.inf:
+            if not math.isfinite(chi):
+                raise ValueError(f"Holevo information computed as {chi!r} is not finite: "
+                                 "a variance overflows double precision")
+            raise RuntimeError(f"Holevo information computed as {chi:.6g} < 0 beyond the noise "
+                               "floor; this indicates a modelling inconsistency")
+    return [0.0 if chi < 0.0 else chi for chi in chis]
 
 
 def holevo_from_cm(cm: CovarianceMatrix, v_n: float = 0.0,
@@ -255,7 +255,7 @@ def _holevo_stack(joint: np.ndarray, v_n: float,
         _entropies(eve, tol)
         raise
     k = joint.shape[0]
-    return [_clamp_chi(a - b) for a, b in zip(entropies[:k], entropies[k:])], entropies[:k]
+    return _clamp_chis([a - b for a, b in zip(entropies[:k], entropies[k:])]), entropies[:k]
 
 
 def holevo_eb(p: ProtocolParams) -> float:
@@ -273,7 +273,7 @@ def holevo_eb(p: ProtocolParams) -> float:
     """
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
-        return _clamp_chi(entropy_g(math.sqrt(det_e)) - entropy_g(math.sqrt(det_e_given_b)))
+        return _lossy_holevo([det_e], [det_e_given_b])[0]
     return _noisy_holevo(p)[0]
 
 
@@ -305,9 +305,14 @@ def _holevo_stacked(p: ProtocolParams, v_a: np.ndarray) -> list[float]:
     """
     if p.epsilon == 0.0:
         det_e, det_e_given_b = _lossy_determinants(p, v_a)
-        return [_clamp_chi(entropy_g(math.sqrt(x)) - entropy_g(math.sqrt(y)))
-                for x, y in zip(det_e.tolist(), det_e_given_b.tolist())]
+        return _lossy_holevo(det_e.tolist(), det_e_given_b.tolist())
     return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)[0]
+
+
+def _lossy_holevo(det_e: list[float], det_e_given_b: list[float]) -> list[float]:
+    """g(sqrt(V_E^X V_E^P)) - g(sqrt(V_{E|B}^X V_E^P)) of each pair of determinants, clamped."""
+    g = _entropy_gs(list(map(math.sqrt, det_e + det_e_given_b)))
+    return _clamp_chis([a - b for a, b in zip(g, g[len(det_e):])])
 
 
 def _lossy_determinants(p: ProtocolParams, v_a):

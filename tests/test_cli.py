@@ -15,7 +15,13 @@ from sqzkd import cli, finite_size, protocol
 from sqzkd.cli import _db_grid, _format_cell, main
 from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold
-from sqzkd.gaussian import condition_on_label, db_to_snu, snu_to_db, symplectic_eigenvalues
+from sqzkd.gaussian import (
+    LARGE_NU,
+    condition_on_label,
+    db_to_snu,
+    snu_to_db,
+    symplectic_eigenvalues,
+)
 from sqzkd.protocol import ProtocolParams, decoupling_modulation, mutual_information_ab
 
 REPORT_KEYS = ["i_ab", "chi_e", "key_rate", "c_eb", "c_ea",
@@ -464,6 +470,38 @@ class TestModulationGridBounds:
         assert code == 1
         assert out == ""
         assert "points" in err
+
+
+class TestNegativeValues:
+    """A negative number with an exponent, or -inf, is a flag's value, not an option."""
+
+    GRID = ("--va-max-db", "-9", "--va-step-db", "0.5")
+
+    @pytest.mark.parametrize("value", ["-1e1", "-1E+1", "-100e-1", "-10.", "-.1e2"])
+    def test_grid_start(self, capsys, value):
+        code, out, err = run(capsys, "fig2", "--va-min-db", value, *self.GRID)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "fig2", "--va-min-db", "-10", *self.GRID)[1]
+        assert out == run(capsys, "fig2", f"--va-min-db={value}", *self.GRID)[1]
+
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity"])
+    def test_infinite_grid_end_names_its_flag(self, capsys, value):
+        code, out, err = run(capsys, "fig2", "--va-max-db", value)
+        assert (code, out) == (1, "")
+        assert err == "error: --va-max-db must be finite, got -inf\n"
+
+    def test_tolerance(self, capsys, tmp_path):
+        path = tmp_path / "vacuum.json"
+        path.write_text("[[1, 0], [0, 1]]", encoding="utf-8")
+        for argv in (("--tol", "-1e-300"), ("--tol=-1e-300",)):
+            code, out, err = run(capsys, "validate", str(path), *argv)
+            assert (code, out) == (1, "")
+            assert err == "error: --tol must lie in [0, 1), got -1e-300\n"
+
+    def test_list_value(self, capsys):
+        code, out, err = run(capsys, "fig4", "--eps", "0", "-1e-3")
+        assert (code, out) == (1, "")
+        assert err == "error: epsilon must be finite and >= 0, got -0.001\n"
 
 
 class TestFormatFlag:
@@ -963,7 +1001,7 @@ class TestFailingSweep:
 
 
 class TestOneGridLoop:
-    """fig2 and fig3 cells are the scalar model's floats, read from security_region."""
+    """fig2 and fig3 cells are the scalar model's floats, computed by the series functions."""
 
     GRID = ("--va-min-db", "-6", "--va-max-db", "3", "--va-step-db", "0.5")
 
@@ -988,6 +1026,19 @@ class TestOneGridLoop:
                          "--beta", "0.9")
         assert [r["key_rate_bits"] for r in rows] == \
             [protocol.key_rate_asymptotic(p) for p in self.points(rows, beta=0.9)]
+
+    def test_fig2_beyond_large_nu_is_holevo_eb(self, capsys):
+        # up to 45 dB Eve's symplectic eigenvalue passes LARGE_NU, where
+        # entropy_g changes form
+        code, out, _ = run(capsys, "fig2", "--va-max-db", "45", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        points = [ProtocolParams(v_r=0.5 if r["protocol"] == "squeezed" else 1.0,
+                                 v_a=r["v_a_snu"], eta=r["eta"]) for r in rows]
+        nus = [math.sqrt(protocol._lossy_determinants(p, p.v_a)[0]) for p in points]
+        assert min(nus) < LARGE_NU < max(nus)
+        assert [r["chi_e_bits"].hex() for r in rows] == \
+            [protocol.holevo_eb(p).hex() for p in points]
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
     def test_default_figure_matches_reference(self, capsys, command):

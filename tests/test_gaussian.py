@@ -13,13 +13,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from sqzkd import protocol
 from sqzkd.errors import (
     DegenerateMeasurementError,
     SymplecticPairingError,
     UnphysicalStateError,
 )
 from sqzkd.gaussian import (
+    LARGE_NU,
+    PHYSICALITY_TOL,
     CovarianceMatrix,
+    _entropies,
+    _entropy_gs,
     apply_beamsplitter,
     condition_on_label,
     db_to_snu,
@@ -42,6 +47,19 @@ def mpmath_entropy_g(nu):
         a = (mpmath.mpf(nu) + 1) / 2
         b = (mpmath.mpf(nu) - 1) / 2
         return a * mpmath.log(a, 2) - b * mpmath.log(b, 2)
+
+
+def scalar_entropy_g(nu):
+    """g(nu) as one scalar function computed it before the list kernel: the bit reference."""
+    if nu <= 1.0:
+        if nu < 1.0 - PHYSICALITY_TOL:
+            raise UnphysicalStateError(f"symplectic eigenvalue {nu!r} is below 1")
+        return 0.0
+    a = (nu + 1.0) / 2.0
+    b = (nu - 1.0) / 2.0
+    if nu > LARGE_NU:
+        return math.log2(a) + b * math.log1p(1.0 / b) / math.log(2.0)
+    return a * math.log2(a) - b * math.log2(b)
 
 
 def dense_symplectic_oracle(matrix):
@@ -191,6 +209,40 @@ class TestEntropyG:
         grid = [1.0 + 0.05 * k for k in range(60)]
         values = [entropy_g(nu) for nu in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestEntropyKernel:
+    """_entropy_gs, the list kernel behind entropy_g, at the edges of its branches."""
+
+    EDGES = [1.0, 1.0 - PHYSICALITY_TOL, 1.0 - 5e-10, math.nextafter(1.0, 0.0),
+             math.nextafter(1.0, 2.0), LARGE_NU, math.nextafter(LARGE_NU, math.inf), 1e8]
+
+    def test_edges_bit_for_bit(self):
+        # the common branch interleaved with every edge, so that order is checked too
+        nus = [nu for edge in self.EDGES for nu in (edge, 1.5 + edge % 7.0)]
+        got = [g.hex() for g in _entropy_gs(nus)]
+        assert got == [entropy_g(nu).hex() for nu in nus]
+        assert got == [scalar_entropy_g(nu).hex() for nu in nus]
+
+    def test_below_the_band_raises(self):
+        below = math.nextafter(1.0 - PHYSICALITY_TOL, 0.0)
+        with pytest.raises(UnphysicalStateError, match="outside the clamping band"):
+            _entropy_gs([2.0, below, 3.0])
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(entropy_g(math.nan))
+        assert [math.isnan(g) for g in _entropy_gs([2.0, math.nan])] == [False, True]
+
+    @pytest.mark.parametrize("tol", [PHYSICALITY_TOL, 0.05])
+    def test_stack_of_joint_states_sums_each_spectrum(self, tol):
+        # (B, E1, E2) states with excess noise: two symplectic eigenvalues of
+        # each sit at 1 up to rounding, on both sides, so the clamp is exercised
+        p = protocol.ProtocolParams(v_r=0.3, v_a=1.0, eta=0.2, delta_v=0.4, epsilon=0.07)
+        joint = protocol._joint_states(p, np.array([0.0, 1e-3, 0.7, 2.0, 9.5, 40.0]))
+        spectra = [symplectic_eigenvalues(CovarianceMatrix(m)) for m in joint]
+        assert min(map(min, spectra)) < 1.0 < max(spectrum[1] for spectrum in spectra)
+        want = [sum(entropy_g(max(nu, 1.0)) for nu in spectrum) for spectrum in spectra]
+        assert [s.hex() for s in _entropies(joint, tol)] == [w.hex() for w in want]
 
 
 class TestVonNeumannEntropy:
