@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .emulator import (
+    STATISTICAL_PHYSICALITY_TOL,
     EmulationConfig,
     ReconstructedCM,
     expected_record_covariance,
@@ -474,8 +475,8 @@ def _add_validate(parser: _CommandParser) -> None:
     _add_common(parser)
     parser.add_argument("matrix", help="path to the covariance-matrix JSON file")
     parser.add_argument("--tol", type=float, default=PHYSICALITY_TOL,
-                        help="allowed undershoot of the bound; use 0.05 for statistically "
-                             "reconstructed matrices")
+                        help=f"allowed undershoot of the bound; use {STATISTICAL_PHYSICALITY_TOL} "
+                             "for statistically reconstructed matrices")
 
 
 # Each subcommand: name, help, description, and the function adding its

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientDataError, UnphysicalStateError
-from .gaussian import CovarianceMatrix, condition_on_label, symplectic_eigenvalues
+from .gaussian import CovarianceMatrix, condition_on_label, von_neumann_entropy
 from .protocol import (
     ProtocolParams,
     SecurityReport,
@@ -420,9 +420,8 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     the electronic noise in their records, so data paths pass 0 here.
 
     The uncertainty bound is checked on the (B, E) state conditioned on the
-    sender's classical label x_a.  Symplectic eigenvalues may undershoot 1 by
-    up to 0.05 for statistical noise and are clamped to 1; harder violations
-    raise.
+    sender's classical label x_a, with symplectic eigenvalues in the band
+    [1 - STATISTICAL_PHYSICALITY_TOL, 1] clamped to 1 for statistical noise.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -430,12 +429,11 @@ def security_from_data(recon: ReconstructedCM, beta: float,
         raise ValueError(f"v_n_trusted must be finite and >= 0, got {v_n_trusted}")
     m = recon.moments
     tol = STATISTICAL_PHYSICALITY_TOL
-    nu_min = symplectic_eigenvalues(condition_on_label(m))[-1]
-    if nu_min < 1.0 - tol:
+    try:
+        von_neumann_entropy(condition_on_label(m), tol)
+    except UnphysicalStateError as exc:
         raise UnphysicalStateError(
-            f"reconstructed matrix is statistically unphysical: "
-            f"minimal symplectic eigenvalue {nu_min:.6g} < {1.0 - tol}"
-        )
+            f"reconstructed matrix is statistically unphysical: {exc}") from None
 
     v_b = m[XB, XB] + v_n_trusted
     v_b_given_a = v_b - m[XA, XB] ** 2 / m[XA, XA]

@@ -63,10 +63,6 @@ class CovarianceMatrix:
     def n_modes(self) -> int:
         return self.entries.shape[0] // 2
 
-    @classmethod
-    def from_diagonal(cls, diagonal) -> "CovarianceMatrix":
-        return cls(np.diag(np.asarray(diagonal, dtype=float)))
-
     def submatrix(self, modes) -> "CovarianceMatrix":
         """Covariance matrix restricted to the listed modes, in the given order."""
         idx = []
@@ -160,6 +156,8 @@ def entropy_g(nu: float) -> float:
 
 def _entropy_gs(nus: list[float], tol: float = PHYSICALITY_TOL) -> list[float]:
     """entropy_g of each value of ``nus``, clamping [1 - tol, 1] to 1; (1, LARGE_NU] is inline."""
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
     return [(a := (nu + 1.0) / 2.0) * math.log2(a) - (b := (nu - 1.0) / 2.0) * math.log2(b)
             if 1.0 < nu <= LARGE_NU else _entropy_g_edge(nu, tol) for nu in nus]
 
@@ -169,16 +167,19 @@ def _entropy_g_edge(nu: float, tol: float) -> float:
     if nu > LARGE_NU:
         b = (nu - 1.0) / 2.0
         return math.log2((nu + 1.0) / 2.0) + b * math.log1p(1.0 / b) / math.log(2.0)
-    if nu < 1.0 - tol:
-        raise UnphysicalStateError(f"symplectic eigenvalue {nu!r} is below 1 and outside "
-                                   "the clamping band")
+    if nu < 1.0 - tol:  # the package's one check of the uncertainty bound
+        # 12 significant digits, or more where needed to show the gap to the bound
+        shown = next(text for digits in range(12, 18)
+                     if float(text := f"{nu:.{digits}g}") < 1.0 - tol)
+        raise UnphysicalStateError(f"symplectic eigenvalue {shown} is below 1 beyond "
+                                   f"the tolerance {tol}")
     return 0.0 if nu <= 1.0 else math.nan
 
 
 def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> float:
     """Von Neumann entropy of a Gaussian state in bits: sum of g over the spectrum.
 
-    Symplectic eigenvalues in [1 - tol, 1] count as 1; smaller ones raise.
+    Symplectic eigenvalues in [1 - tol, 1] count as 1; smaller ones, or tol outside [0, 1), raise.
     """
     return _entropies(cm.entries[np.newaxis], tol)[0]
 
@@ -186,14 +187,6 @@ def von_neumann_entropy(cm: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> f
 def _entropies(gammas: np.ndarray, tol: float) -> list[float]:
     """von_neumann_entropy of each matrix of a (k, 2n, 2n) stack, bit for bit."""
     spectra = _symplectic_spectra(gammas)
-    for lowest in spectra[:, -1].tolist():
-        if lowest < 1.0 - tol:
-            # 12 significant digits, or more where needed to show the gap to the bound
-            shown = next(text for digits in range(12, 18)
-                         if float(text := f"{lowest:.{digits}g}") < 1.0 - tol)
-            raise UnphysicalStateError(
-                f"symplectic eigenvalue {shown} is below 1 beyond the tolerance {tol}"
-            )
     g = _entropy_gs(spectra.ravel().tolist(), tol)
     # each matrix's entropies added by sum, not +=: from Python 3.12 sum compensates
     return list(map(sum, zip(*[iter(g)] * spectra.shape[1])))
@@ -272,6 +265,6 @@ def db_to_snu(db: float) -> float:
 
 def snu_to_db(value: float) -> float:
     """Convert a linear SNU variance to decibels relative to shot noise."""
-    if value <= 0.0:
+    if not value > 0.0:
         raise ValueError(f"cannot express non-positive variance {value} in dB")
     return 10.0 * math.log10(value)

@@ -122,8 +122,8 @@ class SecurityReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)
 
 
 def environment_variance(p: ProtocolParams) -> float:

@@ -26,6 +26,7 @@ from sqzkd.finite_size import (
     key_rate_finite,
 )
 from sqzkd.gaussian import (
+    PHYSICALITY_TOL,
     CovarianceMatrix,
     condition_on_label,
     symplectic_eigenvalues,
@@ -106,7 +107,7 @@ class TestProtocolParams:
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = random_params(rng)
-            cm = CovarianceMatrix.from_diagonal([p.v_r + p.v_a, p.anti_squeezed_variance])
+            cm = CovarianceMatrix(np.diag([p.v_r + p.v_a, p.anti_squeezed_variance]))
             assert cm.entries[0, 0] * cm.entries[1, 1] >= 1.0 - 1e-12
 
 
@@ -342,6 +343,43 @@ class TestQmiFromCmErrors:
             qmi_from_cm(CovarianceMatrix(np.array(entries)))
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+
+class TestEntropyTolerance:
+    """The clamping band's tol is checked once, in the g kernel, for every entry point."""
+
+    # positive definite; E alone has nu = 0.5, far below the uncertainty bound
+    E_UNPHYSICAL = CovarianceMatrix(np.array([[2.0, 0.0, 0.3, 0.0], [0.0, 2.0, 0.0, 0.0],
+                                              [0.3, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]]))
+    # every symplectic eigenvalue of B, E, E given x_B and BE well above 1
+    MIXED = CovarianceMatrix(np.array([[2.0, 0.0, 0.5, 0.0], [0.0, 2.0, 0.0, 0.0],
+                                       [0.5, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 3.0]]))
+    ENTRY_POINTS = {
+        "von_neumann_entropy": von_neumann_entropy,
+        "holevo_from_cm": lambda cm, tol: holevo_from_cm(cm, 0.0, tol),
+        "qmi_from_cm": qmi_from_cm,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("cm", [E_UNPHYSICAL, MIXED], ids=["e-unphysical", "mixed"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1, 1.0, 2.0])
+    def test_tol_outside_unit_interval_raises(self, entry, cm, tol):
+        # a tol of nan or 2.0 would count E_UNPHYSICAL's nu = 0.5 as 1 and report chi_E = 0
+        with pytest.raises(ValueError, match=r"tol must lie in \[0, 1\)"):
+            self.ENTRY_POINTS[entry](cm, tol)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("tol", [PHYSICALITY_TOL, 0.05])
+    def test_unphysical_e_raises(self, entry, tol):
+        with pytest.raises(UnphysicalStateError, match=f"is below 1 beyond the tolerance {tol}$"):
+            self.ENTRY_POINTS[entry](self.E_UNPHYSICAL, tol)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("tol", [0.0, 0.999])
+    def test_band_edges_accepted(self, entry, tol):
+        want = self.ENTRY_POINTS[entry](self.MIXED, PHYSICALITY_TOL)
+        assert want > 0.0
+        assert self.ENTRY_POINTS[entry](self.MIXED, tol) == want
 
 
 class TestMutualInformation:
