@@ -16,7 +16,6 @@ from .emulator import (
     expected_record_covariance,
     generate_calibrated_samples,
     generate_samples,
-    normalize_to_shot_noise,
     reconstruct_covariance,
     security_from_data,
 )
@@ -37,13 +36,11 @@ from .finite_size import (
 )
 from .gaussian import (
     CovarianceMatrix,
-    apply_beamsplitter,
     condition_on_label,
     db_to_snu,
     entropy_g,
     snu_to_db,
     symplectic_eigenvalues,
-    symplectic_form,
     von_neumann_entropy,
 )
 from .protocol import (

@@ -106,14 +106,10 @@ class SampleBatch:
     def n_samples(self) -> int:
         return self.records.shape[1]
 
-    def columns(self) -> np.ndarray:
-        """Records as an (n_samples, 5) view in CSV column order."""
-        return self.records.T
-
     def write_csv(self, path) -> None:
         """Write a header line, then one row of five ``%.12g`` values per record.
 
-        The bytes are those of ``np.savetxt(path, self.columns(), fmt="%.12g",
+        The bytes are those of ``np.savetxt(path, self.records.T, fmt="%.12g",
         delimiter=",", header=..., comments="")`` with ``\\n`` line ends.  Rows
         are formatted a block at a time, with one ``%`` per block.
 
@@ -346,33 +342,14 @@ def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
     return ReconstructedCM(moments=moments, n_samples=n, standard_errors=errors)
 
 
-def normalize_to_shot_noise(batch: SampleBatch,
-                            vacuum_calibration: SampleBatch) -> SampleBatch:
-    """Rescale the detected quadratures by a vacuum calibration run.
-
-    The calibration batch must be generated with v_a = 0, v_r = 1 and
-    delta_v = 0 at the same detector settings; each of the receiver's and
-    eavesdropper's quadratures is divided by the calibration's root mean
-    square so that calibrated vacuum has unit variance.  The sender's data is
-    left untouched (its scale cancels from every derived quantity).
-    """
-    cal_p = vacuum_calibration.params
-    if not (cal_p.v_a == 0.0 and cal_p.v_r == 1.0 and cal_p.delta_v == 0.0):
-        raise ValueError("calibration batch must be vacuum: v_a = 0, v_r = 1, delta_v = 0")
-    if batch.config.detector_efficiencies() != vacuum_calibration.config.detector_efficiencies():
-        raise ValueError("calibration batch was taken at different detector settings")
-    scales = _shot_noise_scales(vacuum_calibration.records)
-    return replace(batch, records=batch.records / scales[:, np.newaxis])
-
-
 def generate_calibrated_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     """generate_samples normalized to shot noise by a vacuum calibration run.
 
     The calibration (v_a = 0, v_r = 1, delta_v = 0, seed + 1 mod 2**64) is
     drawn first, row by row, and reduced to its four scales before the
     signal batch is drawn and divided in place, so the two are never held
-    together.  Each has its own Philox key, so the records are those of
-    normalize_to_shot_noise on the two batches whichever is drawn first.
+    together.  Each has its own Philox key, so the records do not depend on
+    which is drawn first.
     """
     scales = _shot_noise_scales(_draw_records(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
                                               replace(cfg, seed=(cfg.seed + 1) % 2 ** 64)))

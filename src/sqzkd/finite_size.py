@@ -109,10 +109,6 @@ class RegionPoint(NamedTuple):
     chi_e: float
     i_ab: float
 
-    def beta_star_at(self, fp: FiniteSizeParams | None) -> float:
-        """Threshold at this point for another sample accounting; inf where undefined."""
-        return _threshold(self.chi_e, self.i_ab, delta_correction(fp) if fp is not None else 0.0)
-
 
 def security_region(p_base: ProtocolParams, v_a_grid,
                     fp: FiniteSizeParams | None = None) -> list[RegionPoint]:

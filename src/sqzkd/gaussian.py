@@ -31,15 +31,6 @@ SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form, a direct sum of [[0, 1], [-1, 0]] blocks."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Symmetric 2n x 2n second-moment matrix of a zero-mean Gaussian state (SNU)."""
@@ -62,13 +53,6 @@ class CovarianceMatrix:
     @property
     def n_modes(self) -> int:
         return self.entries.shape[0] // 2
-
-    def submatrix(self, modes) -> "CovarianceMatrix":
-        """Covariance matrix restricted to the listed modes, in the given order."""
-        idx = []
-        for m in modes:
-            idx.extend((2 * m, 2 * m + 1))
-        return CovarianceMatrix(self.entries[np.ix_(idx, idx)])
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
@@ -114,8 +98,11 @@ def _symplectic_spectra(gammas: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _omega(n_modes: int) -> np.ndarray:
-    """Read-only symplectic_form(n_modes), built once per mode count."""
-    omega = symplectic_form(n_modes)
+    """Read-only symplectic form, a direct sum of [[0, 1], [-1, 0]] blocks, built once per n."""
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        omega[2 * k, 2 * k + 1] = 1.0
+        omega[2 * k + 1, 2 * k] = -1.0
     omega.setflags(write=False)
     return omega
 
@@ -223,28 +210,13 @@ def _condition_on_labels(moments: np.ndarray) -> np.ndarray:
     return _finite(0.5 * (reduced + reduced.transpose(0, 2, 1)))
 
 
-def apply_beamsplitter(cm: CovarianceMatrix, mode_i: int, mode_j: int,
-                       transmittance: float) -> CovarianceMatrix:
-    """Mix two modes on a beamsplitter of the given transmittance.
-
-    Applies S @ cm @ S.T with the two-mode symplectic
-    S = [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]] acting on the
-    (mode_i, mode_j) blocks, so mode_i keeps a sqrt(t) share of itself plus a
-    sqrt(1-t) share of mode_j.
-    """
-    return CovarianceMatrix(_mix(cm.entries, mode_i, mode_j, transmittance))
-
-
 def _mix(gammas: np.ndarray, mode_i: int, mode_j: int, transmittance: float) -> np.ndarray:
-    """apply_beamsplitter on one (2n, 2n) matrix or each of a (k, 2n, 2n) stack, bit for bit."""
+    """Beamsplitter of transmittance t on modes (i, j) of a (2n, 2n) matrix or a (k, 2n, 2n) stack.
+
+    S @ gamma @ S.T with S = [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]]
+    on the two modes' blocks; distinct modes and t in [0, 1] are not checked.
+    """
     n_modes = gammas.shape[-1] // 2
-    if mode_i == mode_j:
-        raise ValueError("beamsplitter needs two distinct modes")
-    for m in (mode_i, mode_j):
-        if m < 0 or m >= n_modes:
-            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     t = math.sqrt(transmittance)
     r = math.sqrt(1.0 - transmittance)
     s = np.eye(2 * n_modes)

@@ -149,7 +149,7 @@ def test_criterion_6_pipeline_matches_closed_forms():
             joint = build_joint_state(p)
             labelled = np.delete(np.delete(joint.entries, 1, axis=0), 1, axis=1)
             labelled[0, 0] += p.v_n
-            return joint.submatrix([1]).entries, condition_on_label(labelled).entries
+            return joint.entries[2:4, 2:4], condition_on_label(labelled).entries
 
         # the paper's entries: diag[eta + (1-eta) V, eta + (1-eta)(1/v_r + delta_v)],
         # and (V + v_n (1-eta) V + eta v_n) / (v_n + 1 - eta + eta V) given x_B

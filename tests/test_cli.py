@@ -496,7 +496,7 @@ class TestNegativeValues:
         for argv in (("--tol", "-1e-300"), ("--tol=-1e-300",)):
             code, out, err = run(capsys, "validate", str(path), *argv)
             assert (code, out) == (1, "")
-            assert err == "error: --tol must lie in [0, 1), got -1e-300\n"
+            assert err == "error: tol must lie in [0, 1), got -1e-300\n"
 
     def test_list_value(self, capsys):
         code, out, err = run(capsys, "fig4", "--eps", "0", "-1e-3")
@@ -636,7 +636,7 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(path), f"--tol={tol}")
         assert code == 1
         assert out == ""
-        assert err == f"error: --tol must lie in [0, 1), got {float(tol)}\n"
+        assert err == f"error: tol must lie in [0, 1), got {float(tol)}\n"
 
     @pytest.mark.parametrize("tol, code", [("0", 0), ("0.999", 2)])
     def test_tolerance_ends(self, capsys, tmp_path, tol, code):

@@ -25,7 +25,6 @@ from sqzkd.emulator import (
     expected_record_covariance,
     generate_calibrated_samples,
     generate_samples,
-    normalize_to_shot_noise,
     reconstruct_covariance,
     security_from_data,
 )
@@ -37,6 +36,17 @@ DECOUPLED = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.58)
 
 def ideal_config(n, seed):
     return EmulationConfig(n_samples=n, seed=seed, ideal_detectors=True)
+
+
+def normalize_to_shot_noise(batch, calibration):
+    """``batch`` with each quadrature divided by ``calibration``'s root mean square.
+
+    The reference for generate_calibrated_samples, written without sqzkd:
+    x_a, row 0, is divided by 1.0, and x_b, p_b, x_e and p_e each by
+    sqrt(mean(row * row)) of the same row of the vacuum calibration.
+    """
+    scales = np.array([1.0] + [math.sqrt(np.mean(row * row)) for row in calibration.records[1:]])
+    return replace(batch, records=batch.records / scales[:, np.newaxis])
 
 
 class TestEmulationConfig:
@@ -114,7 +124,7 @@ class TestReconstructCovariance:
     def test_moments_in_csv_column_order(self):
         batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=1000, seed=8))
         recon = reconstruct_covariance(batch)
-        data = batch.columns()
+        data = batch.records.T
         moments = data.T @ data / (batch.n_samples - 1)
         assert np.array_equal(recon.moments, 0.5 * (moments + moments.T))
         assert recon.standard_errors.shape == (5, 5)
@@ -190,19 +200,6 @@ class TestNormalizeToShotNoise:
         out = normalize_to_shot_noise(batch, cal)
         recon = reconstruct_covariance(out)
         assert abs(recon.moments[XE, XB]) <= 5 * recon.standard_errors[XE, XB]
-
-    def test_rejects_non_vacuum_calibration(self):
-        cfg = EmulationConfig(n_samples=100, seed=16)
-        batch = generate_samples(DECOUPLED, cfg)
-        with pytest.raises(ValueError, match="vacuum"):
-            normalize_to_shot_noise(batch, batch)
-
-    def test_rejects_mismatched_detectors(self):
-        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=100, seed=17))
-        cal = generate_samples(replace(DECOUPLED, v_a=0.0, v_r=1.0, delta_v=0.0),
-                               EmulationConfig(n_samples=100, seed=18, eta_bob_det=0.5))
-        with pytest.raises(ValueError, match="detector"):
-            normalize_to_shot_noise(batch, cal)
 
 
 class TestCalibratedSamples:
@@ -373,11 +370,11 @@ class TestCsvExport:
         assert lines[0] == "x_a,x_b,p_b,x_e,p_e"
         assert len(lines) == 51
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(loaded, batch.columns(), rtol=1e-11)
+        assert np.allclose(loaded, batch.records.T, rtol=1e-11)
 
     @staticmethod
     def _savetxt_bytes(batch, path):
-        np.savetxt(path, batch.columns(), fmt="%.12g", delimiter=",",
+        np.savetxt(path, batch.records.T, fmt="%.12g", delimiter=",",
                    header=",".join(SampleBatch.CSV_COLUMNS), comments="")
         return path.read_bytes()
 

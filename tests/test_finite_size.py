@@ -198,7 +198,6 @@ class TestSecurityRegion:
         (point,) = security_region(p, [1.0])
         assert point == (point.v_a, point.beta_star, point.secure, point.chi_e, point.i_ab)
         assert point._fields == ("v_a", "beta_star", "secure", "chi_e", "i_ab")
-        assert point.beta_star_at(None) == point.beta_star
 
     def test_order_follows_grid(self):
         p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5)

@@ -25,7 +25,7 @@ from sqzkd.emulator import (
 )
 from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold, security_region
-from sqzkd.gaussian import CovarianceMatrix, apply_beamsplitter, db_to_snu, snu_to_db
+from sqzkd.gaussian import CovarianceMatrix, db_to_snu, snu_to_db
 from sqzkd.protocol import (
     ProtocolParams,
     build_joint_state,
@@ -169,7 +169,6 @@ def test_region_thresholds_equal_beta_threshold_bit_for_bit(v_r, eta, delta_v, v
         except ThresholdUndefinedError:  # I_AB is 0
             expected = math.inf
         assert point.beta_star.hex() == expected.hex()
-        assert point.beta_star_at(fp).hex() == expected.hex()
         assert point.secure == (point.beta_star < 1.0)
 
 
@@ -209,6 +208,52 @@ def test_noisy_point_equals_its_joint_state_solved_alone(v_r, v_a, eta, delta_v,
     assert holevo_eb(p).hex() == holevo_from_cm(joint, p.v_n).hex()
 
 
+def one_mode_symplectic(theta, r, phi):
+    """R(theta) diag(e^r, e^-r) R(phi), a single-mode symplectic, with numpy alone."""
+    def rotation(angle):
+        return np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
+    return rotation(theta) @ np.diag([np.exp(r), np.exp(-r)]) @ rotation(phi)
+
+
+def transformed(gamma, s):
+    """The covariance matrix S gamma S^T, symmetrised against rounding."""
+    out = s @ gamma @ s.T
+    return CovarianceMatrix(0.5 * (out + out.T))
+
+
+one_mode_maps = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 1.0),
+                          st.floats(0.0, 2.0 * math.pi))
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values, epsilon=epsilon_values, on_b=one_mode_maps, on_e1=one_mode_maps,
+       on_e2=one_mode_maps, mixing=st.floats(0.0, 2.0 * math.pi))
+def test_local_symplectics_leave_holevo_and_qmi_unchanged(v_r, v_a, eta, delta_v, v_n, epsilon,
+                                                          on_b, on_e1, on_e2, mixing):
+    # Eve's operations on her own modes cannot change what she learns about
+    # x_B, and no local operation changes the B-E correlations.  Her modes are
+    # E1 on a lossy channel, and E1, E2 mixed by a rotation at epsilon > 0.
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
+    joint = build_joint_state(p)
+    dim = joint.entries.shape[0]
+    eve = np.eye(dim)
+    eve[2:4, 2:4] = one_mode_symplectic(*on_e1)
+    if dim == 6:
+        eve[4:, 4:] = one_mode_symplectic(*on_e2)
+        c, s = np.cos(mixing), np.sin(mixing)
+        rotation = np.eye(dim)
+        rotation[2:, 2:] = np.kron([[c, s], [-s, c]], np.eye(2))
+        eve = eve @ rotation
+    bob = np.eye(dim)
+    bob[:2, :2] = one_mode_symplectic(*on_b)
+    for noise in (0.0, v_n):
+        assert abs(holevo_from_cm(transformed(joint.entries, eve), noise)
+                   - holevo_from_cm(joint, noise)) <= 1e-10
+    for local in (eve, bob):
+        assert abs(qmi_from_cm(transformed(joint.entries, local)) - qmi_from_cm(joint)) <= 1e-10
+
+
 @settings(max_examples=40, deadline=None)  # each example rates 10001 grid points
 @given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
        epsilon=epsilon_values, beta=st.floats(0.0, 1.0, exclude_min=True))
@@ -245,6 +290,19 @@ def test_data_path_reproduces_model_on_exact_moments(v_r, v_a, eta, delta_v, v_n
         assert math.isclose(getattr(got, key), want, rel_tol=1e-9, abs_tol=1e-12), key
 
 
+def beamsplitter(gamma, i, j, t):
+    """S gamma S^T, S a beamsplitter of transmittance t on modes (i, j), with numpy alone.
+
+    Mode i keeps a sqrt(t) share of itself plus a sqrt(1 - t) share of mode j.
+    """
+    s = np.eye(len(gamma))
+    for off in (0, 1):
+        a, b = 2 * i + off, 2 * j + off
+        s[a, a] = s[b, b] = np.sqrt(t)
+        s[a, b], s[b, a] = np.sqrt(1.0 - t), -np.sqrt(1.0 - t)
+    return s @ gamma @ s.T
+
+
 def quantum_model_record_covariance(p, cfg):
     """Record moments built on the quantum state, independently of the sampler's optics.
 
@@ -256,15 +314,14 @@ def quantum_model_record_covariance(p, cfg):
     joint = build_joint_state(p)
     eta_b, eta_e = cfg.detector_efficiencies()
     dim = joint.entries.shape[0]
-    state = CovarianceMatrix(np.block([[joint.entries, np.zeros((dim, 4))],
-                                       [np.zeros((4, dim)), np.eye(4)]]))
-    state = apply_beamsplitter(state, 0, joint.n_modes, eta_b)
-    state = apply_beamsplitter(state, 1, joint.n_modes + 1, eta_e)
+    state = np.block([[joint.entries, np.zeros((dim, 4))], [np.zeros((4, dim)), np.eye(4)]])
+    state = beamsplitter(state, 0, joint.n_modes, eta_b)
+    state = beamsplitter(state, 1, joint.n_modes + 1, eta_e)
     cross = [math.sqrt(p.eta * eta_b) * p.v_a, 0.0,
              math.sqrt((1.0 - p.eta) * eta_e) * p.v_a, 0.0]
     moments = np.zeros((5, 5))
     moments[XA, XA] = p.v_a
-    moments[XB:, XB:] = state.submatrix([0, 1]).entries
+    moments[XB:, XB:] = state[:4, :4]
     moments[XA, XB:] = cross
     moments[XB:, XA] = cross
     moments[XB, XB] += p.v_n

@@ -71,8 +71,7 @@ def eve_given_xb(p):
 
 def pipeline_chi(p):
     """Independent route: joint state, noisy X homodyne, entropy difference."""
-    joint = build_joint_state(p)
-    eve = joint.submatrix(range(1, joint.n_modes))
+    eve = CovarianceMatrix(build_joint_state(p).entries[2:, 2:])
     return von_neumann_entropy(eve) - von_neumann_entropy(eve_given_xb(p))
 
 
@@ -116,18 +115,18 @@ class TestEveCovariance:
 
     def test_decoupled_x_entry(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5)
-        eve = build_joint_state(p).submatrix([1])
-        assert np.allclose(eve.entries, np.diag([1.0, 1.5]), atol=1e-15)
+        eve = build_joint_state(p).entries[2:4, 2:4]
+        assert np.allclose(eve, np.diag([1.0, 1.5]), atol=1e-15)
 
     def test_coherent_reference_point(self):
         p = ProtocolParams(v_r=1.0, v_a=1.0, eta=0.58)
-        eve = build_joint_state(p).submatrix([1])
-        assert np.allclose(eve.entries, np.diag([1.42, 1.0]), atol=1e-12)
+        eve = build_joint_state(p).entries[2:4, 2:4]
+        assert np.allclose(eve, np.diag([1.42, 1.0]), atol=1e-12)
 
     def test_lossless_channel_leaks_vacuum(self):
         p = ProtocolParams(v_r=0.3, v_a=2.0, eta=1.0, delta_v=4.0)
-        eve = build_joint_state(p).submatrix([1])
-        assert np.allclose(eve.entries, np.eye(2), atol=1e-15)
+        eve = build_joint_state(p).entries[2:4, 2:4]
+        assert np.allclose(eve, np.eye(2), atol=1e-15)
 
 
 class TestEveConditionalCovariance:
@@ -486,7 +485,7 @@ class TestBuildJointState:
         # eta + (1-eta)(v_r + v_a) and eta + (1-eta)(1/v_r + delta_v)
         p = ProtocolParams(v_r=0.5, v_a=0.8, eta=0.37, delta_v=1.5, v_n=0.2)
         joint = build_joint_state(p)
-        assert np.allclose(joint.submatrix([1]).entries, np.diag([1.189, 2.575]),
+        assert np.allclose(joint.entries[2:4, 2:4], np.diag([1.189, 2.575]),
                            atol=1e-14)
 
     def test_pipeline_matches_closed_forms(self):
@@ -495,7 +494,7 @@ class TestBuildJointState:
         rng = np.random.default_rng(8)
         for _ in range(200):
             p = random_params(rng)
-            eve = build_joint_state(p).submatrix([1]).entries
+            eve = build_joint_state(p).entries[2:4, 2:4]
             cond = eve_given_xb(p).entries
             assert abs(eve[0, 1]) <= 1e-10 and abs(cond[0, 1]) <= 1e-10
             assert cond[1, 1] == pytest.approx(eve[1, 1], abs=1e-10)
