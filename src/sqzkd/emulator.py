@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError, UnphysicalStateError
+from .errors import InsufficientDataError, SymplecticPairingError, UnphysicalStateError
 from .gaussian import CovarianceMatrix, condition_on_label, von_neumann_entropy
 from .protocol import (
     ProtocolParams,
@@ -399,6 +399,8 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     The uncertainty bound is checked on the (B, E) state conditioned on the
     sender's classical label x_a, with symplectic eigenvalues in the band
     [1 - STATISTICAL_PHYSICALITY_TOL, 1] clamped to 1 for statistical noise.
+    UnphysicalStateError also covers a state whose spectrum cannot be solved:
+    not positive definite, as from fewer records than moments, or unpaired.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -408,7 +410,7 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     tol = STATISTICAL_PHYSICALITY_TOL
     try:
         von_neumann_entropy(condition_on_label(m), tol)
-    except UnphysicalStateError as exc:
+    except (UnphysicalStateError, SymplecticPairingError) as exc:
         raise UnphysicalStateError(
             f"reconstructed matrix is statistically unphysical: {exc}") from None
 

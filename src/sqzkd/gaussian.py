@@ -210,26 +210,6 @@ def _condition_on_labels(moments: np.ndarray) -> np.ndarray:
     return _finite(0.5 * (reduced + reduced.transpose(0, 2, 1)))
 
 
-def _mix(gammas: np.ndarray, mode_i: int, mode_j: int, transmittance: float) -> np.ndarray:
-    """Beamsplitter of transmittance t on modes (i, j) of a (2n, 2n) matrix or a (k, 2n, 2n) stack.
-
-    S @ gamma @ S.T with S = [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]]
-    on the two modes' blocks; distinct modes and t in [0, 1] are not checked.
-    """
-    n_modes = gammas.shape[-1] // 2
-    t = math.sqrt(transmittance)
-    r = math.sqrt(1.0 - transmittance)
-    s = np.eye(2 * n_modes)
-    ii, jj = 2 * mode_i, 2 * mode_j
-    for off in (0, 1):
-        s[ii + off, ii + off] = t
-        s[jj + off, jj + off] = t
-        s[ii + off, jj + off] = r
-        s[jj + off, ii + off] = -r
-    mixed = s @ gammas @ s.T
-    return 0.5 * (mixed + np.swapaxes(mixed, -1, -2))
-
-
 def db_to_snu(db: float) -> float:
     """Convert a decibel value (relative to shot noise) to a linear SNU variance."""
     return 10.0 ** (db / 10.0)

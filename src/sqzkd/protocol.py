@@ -32,7 +32,6 @@ from .gaussian import (
     _entropies,
     _entropy_gs,
     _finite,
-    _mix,
 )
 
 # |chi_E| below this is treated as floating-point noise and clamped to zero;
@@ -174,11 +173,16 @@ def _joint_states(p: ProtocolParams, v_a: np.ndarray) -> np.ndarray:
     before[:, 0, 0] = p.v_r + v_a
     before[:, 1, 1] = p.anti_squeezed_variance
     before[:, 2:, 2:] = environment
-    # keeping the environment slot and retaining sqrt(eta) of it sends
-    # sqrt(eta) S - sqrt(1-eta) E to the receiver's slot 0 and
-    # sqrt(1-eta) S + sqrt(eta) E to the eavesdropper's slot 1; both
+    # the channel beamsplitter sends sqrt(eta) S - sqrt(1-eta) E to the receiver's
+    # slot 0 and sqrt(1-eta) S + sqrt(eta) E to the eavesdropper's slot 1; both
     # matrices are checked, so that no overflow reaches the matrix product
-    return _finite(_mix(_finite(before), 1, 0, p.eta))
+    t, r = math.sqrt(p.eta), math.sqrt(1.0 - p.eta)
+    s = np.eye(dim)
+    for k in (0, 1):
+        s[k, k] = s[2 + k, 2 + k] = t
+        s[k, 2 + k], s[2 + k, k] = -r, r
+    mixed = s @ _finite(before) @ s.T
+    return _finite(0.5 * (mixed + np.swapaxes(mixed, -1, -2)))
 
 
 def mutual_information_ab(p: ProtocolParams) -> float:

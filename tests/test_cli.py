@@ -555,6 +555,24 @@ class TestEmulate:
         assert len(lines) == 17
         assert lines[-1] == f"security evaluation skipped: {message}"
 
+    @pytest.mark.parametrize("n_samples", ["2", "3"])
+    def test_rank_deficient_reconstruction_is_a_skipped_evaluation(self, capsys, tmp_path,
+                                                                   n_samples):
+        # fewer records than moments: the state given x_a is not positive definite
+        code, out, _ = run(capsys, "emulate", "--vr", "0.5", "--va", "0.5",
+                           "--eta", "0.58", "--n-samples", n_samples, "--seed", "3",
+                           "--out", str(tmp_path / "tiny"))
+        assert code == 0
+        text = (tmp_path / "tiny_report.json").read_text(encoding="utf-8")
+        message = json.loads(text)["error"]
+        # the eigenvalue printed after the prefix depends on LAPACK
+        assert message.startswith("reconstructed matrix is statistically unphysical: "
+                                  "covariance matrix is not positive definite")
+        assert text == json.dumps({"error": message}, indent=2)
+        lines = out.splitlines()
+        assert len(lines) == 17
+        assert lines[-1] == f"security evaluation skipped: {message}"
+
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for prefix in (a, b):

@@ -332,6 +332,19 @@ class TestSecurityFromData:
         with pytest.raises(UnphysicalStateError, match="0.8"):
             security_from_data(recon, beta=1.0)
 
+    def test_indefinite_matrix_rejected_as_unphysical(self):
+        # an x_b-x_e block [[2, 3], [3, 2]] has eigenvalue -1: a rank-deficient
+        # reconstruction from a few records is rejected the same way
+        matrix = np.eye(5)
+        matrix[XB, XB] = matrix[XE, XE] = 2.0
+        matrix[XB, XE] = matrix[XE, XB] = 3.0
+        recon = ReconstructedCM(moments=matrix, n_samples=100,
+                                standard_errors=np.zeros((5, 5)))
+        with pytest.raises(UnphysicalStateError,
+                           match="^reconstructed matrix is statistically unphysical: "
+                                 "covariance matrix is not positive definite"):
+            security_from_data(recon, beta=1.0)
+
     def test_noise_divided_out_by_calibration_rejected(self):
         # A calibration batch that keeps the channel's excess noise, as the
         # emulate command builds it, shrinks B and E below the uncertainty

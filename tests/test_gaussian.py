@@ -25,7 +25,6 @@ from sqzkd.gaussian import (
     CovarianceMatrix,
     _entropies,
     _entropy_gs,
-    _mix,
     condition_on_label,
     db_to_snu,
     entropy_g,
@@ -356,43 +355,6 @@ class TestConditionOnLabel:
         matrix[0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
             condition_on_label(matrix)
-
-
-class TestApplyBeamsplitter:
-    def test_unit_transmittance_is_identity(self):
-        rng = np.random.default_rng(19)
-        cm, _ = random_physical_cm(rng, 2)
-        out = _mix(cm.entries, 0, 1, 1.0)
-        assert np.allclose(out, cm.entries, atol=1e-15)
-
-    def test_vacuum_invariant(self):
-        cm = CovarianceMatrix(np.eye(4))
-        for eta in (0.0, 0.3, 0.77, 1.0):
-            out = _mix(cm.entries, 0, 1, eta)
-            assert np.allclose(out, np.eye(4), atol=1e-15)
-
-    def test_tapped_port_variance(self):
-        # modulated squeezed source against vacuum: the tapped port carries
-        # eta + (1 - eta)(v_r + v_a) in X
-        v_r, v_a, eta = 0.5, 0.8, 0.37
-        source = CovarianceMatrix(np.diag([v_r + v_a, 1 / v_r, 1.0, 1.0]))
-        out = _mix(source.entries, 0, 1, eta)
-        assert out[2, 2] == pytest.approx(eta + (1 - eta) * (v_r + v_a), abs=1e-12)
-        assert out[0, 0] == pytest.approx(eta * (v_r + v_a) + 1 - eta, abs=1e-12)
-
-    def test_physicality_closure(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            cm, _ = random_physical_cm(rng, 3)
-            out = CovarianceMatrix(_mix(cm.entries, 0, 2, rng.uniform(0.0, 1.0)))
-            assert min(symplectic_eigenvalues(out)) >= 1.0 - 1e-9
-
-    def test_symplectic_invariance_of_spectrum(self):
-        rng = np.random.default_rng(29)
-        cm, _ = random_physical_cm(rng, 2)
-        out = CovarianceMatrix(_mix(cm.entries, 0, 1, 0.42))
-        assert symplectic_eigenvalues(out) == pytest.approx(
-            symplectic_eigenvalues(cm), abs=1e-10)
 
 
 class TestDecibels:

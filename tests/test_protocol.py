@@ -129,6 +129,47 @@ class TestEveCovariance:
         assert np.allclose(eve, np.eye(2), atol=1e-15)
 
 
+class TestChannelBeamsplitter:
+    """The channel beamsplitter that build_joint_state applies to (source, injected arm)."""
+
+    def test_unit_transmittance_is_identity(self):
+        p = ProtocolParams(v_r=0.3, v_a=2.0, eta=1.0, delta_v=4.0)
+        expected = np.diag([p.v_r + p.v_a, 1 / p.v_r + p.delta_v, 1.0, 1.0])
+        assert np.allclose(build_joint_state(p).entries, expected, atol=1e-15)
+
+    def test_vacuum_invariant(self):
+        for eta in (0.3, 0.77, 1.0):
+            p = ProtocolParams(v_r=1.0, v_a=0.0, eta=eta)
+            assert np.allclose(build_joint_state(p).entries, np.eye(4), atol=1e-15)
+
+    def test_tapped_port_variance(self):
+        # modulated squeezed source against vacuum: the tapped port carries
+        # eta + (1 - eta)(v_r + v_a) in X, the receiver eta (v_r + v_a) + 1 - eta
+        v_r, v_a, eta = 0.5, 0.8, 0.37
+        out = build_joint_state(ProtocolParams(v_r=v_r, v_a=v_a, eta=eta)).entries
+        assert out[2, 2] == pytest.approx(eta + (1 - eta) * (v_r + v_a), abs=1e-12)
+        assert out[0, 0] == pytest.approx(eta * (v_r + v_a) + 1 - eta, abs=1e-12)
+
+    def test_physicality_closure(self):
+        rng = np.random.default_rng(23)
+        for eps in (0.0, 0.05):
+            for _ in range(25):
+                joint = build_joint_state(random_params(rng, epsilon=eps))
+                assert min(symplectic_eigenvalues(joint)) >= 1.0 - 1e-9
+
+    def test_symplectic_invariance_of_spectrum(self):
+        # the source has nu = sqrt((v_r + v_a)(1/v_r + delta_v)); the vacuum
+        # or the entangled pair the eavesdropper injects is pure
+        rng = np.random.default_rng(29)
+        for eps in (0.0, 0.05):
+            for _ in range(25):
+                p = random_params(rng, epsilon=eps)
+                source = math.sqrt((p.v_r + p.v_a) * (1 / p.v_r + p.delta_v))
+                unmixed = [source] + [1.0] * (1 if eps == 0.0 else 2)
+                assert symplectic_eigenvalues(build_joint_state(p)) == pytest.approx(
+                    unmixed, abs=1e-10)
+
+
 class TestEveConditionalCovariance:
     """The eavesdropper's lossy-channel state given the receiver's noisy X."""
 
