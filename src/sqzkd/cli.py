@@ -3,16 +3,18 @@
 Subcommands are listed by ``sqzkd --help``; README "Command line" has the
 exit codes and output formats.  argparse resolves every input: a flag's
 default is stated once, in its ``add_argument``, and ``--config`` turns the
-values of a JSON file into the chosen command's defaults before a second
-parse, so explicit flags win.  ``vars(args)`` is the resolved configuration.
-``main`` builds the parser of the command it runs and no other; only help,
-no command or an unknown one builds all of them.  The sweeps write their
+values of a JSON file into the defaults of the chosen command's parse,
+without changing its parser, so explicit flags win.  ``vars(args)`` is the
+resolved configuration; ``main`` calls ``cmd_<command>`` as bound when it
+runs.  A parser is built once per process: the invoked command's alone, or
+all of them for help, no command or an unknown one.  The sweeps write their
 CSV one series at a time, with one ``%`` over a row format.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -30,16 +32,16 @@ from .emulator import (
     reconstruct_covariance,
     security_from_data,
 )
-from .errors import UnphysicalStateError
+from .errors import SymplecticPairingError, UnphysicalStateError
 from .finite_size import FiniteSizeParams, _threshold, delta_correction, security_region
 from .gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
+    _entropy_gs,
     condition_on_label,
     db_to_snu,
     snu_to_db,
     symplectic_eigenvalues,
-    von_neumann_entropy,
 )
 from .protocol import (ProtocolParams, decoupling_modulation, holevo_eb_series,
                        mutual_information_ab_series, security_report)
@@ -125,11 +127,13 @@ class _CommandParser(argparse.ArgumentParser):
                                       default=argparse.SUPPRESS, metavar=f"{name.upper()}_DB",
                                       help=f"as --{name}, in dB relative to shot noise"))
 
-    def set_config(self, path: str) -> None:
-        """Make the values of a JSON config file this command's defaults.
+    def config_namespace(self, path: str, command: str) -> argparse.Namespace:
+        """The values of a JSON config file, converted, as a namespace for ``parse_args``.
 
-        Keys that are not this command's flags are ignored, and a linear key
-        beats its dB twin.  A value of the wrong JSON type raises ValueError.
+        argparse fills in a default only where the namespace has no value, so
+        explicit flags win and the parser is left unchanged.  Keys that are not
+        this command's flags are ignored, and a linear key beats its dB twin.
+        A value of the wrong JSON type raises ValueError.
         """
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -143,7 +147,7 @@ class _CommandParser(argparse.ArgumentParser):
             value = _config_value(key, raw, action)
             if key == action.dest or action.dest not in values:
                 values[action.dest] = value
-        self.set_defaults(**values)
+        return argparse.Namespace(command=command, **values)
 
 
 def _protocol_from(args) -> ProtocolParams:
@@ -373,15 +377,18 @@ def cmd_validate(args) -> int:
         cm = condition_on_label(matrix)
     else:
         cm = CovarianceMatrix(matrix)
-    nus = symplectic_eigenvalues(cm)
-    lines = [f"nu_{k + 1} = {nu:.12g}" for k, nu in enumerate(nus)]
-    ok = True
-    try:  # the g kernel alone decides the bound, and raises ValueError for a bad tol
-        von_neumann_entropy(cm, args.tol)
+    try:
+        nus = symplectic_eigenvalues(cm)
+        verdict = f"minimal symplectic eigenvalue {min(nus):.12g} vs bound {1.0 - args.tol:.12g}"
+    except SymplecticPairingError as exc:  # not positive definite: no spectrum to print
+        nus, verdict = [], str(exc)
+    ok = bool(nus)
+    try:  # the g kernel alone decides the bound on the printed spectrum, and checks tol
+        _entropy_gs(nus, args.tol)
     except UnphysicalStateError:
         ok = False
-    lines.append(f"{'PASS' if ok else 'FAIL'}: minimal symplectic eigenvalue "
-                 f"{min(nus):.12g} vs bound {1.0 - args.tol:.12g}")
+    lines = [f"nu_{k + 1} = {nu:.12g}" for k, nu in enumerate(nus)]
+    lines.append(f"{'PASS' if ok else 'FAIL'}: {verdict}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if ok else 2
 
@@ -508,14 +515,17 @@ _COMMANDS = (
      "label (row 0) followed by modes; it is checked on the "
      "modes' state conditioned on the label.", _add_validate),
 )
+_COMMAND_NAMES = tuple(entry[0] for entry in _COMMANDS)
 
 
+@functools.cache
 def build_parser(command: str | None = None
                  ) -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
-    """The top-level parser, and the subcommands' parsers by name.
+    """The top-level parser, and the subcommands' parsers by name, built once per argument.
 
     Only ``command``'s parser is added when it names a subcommand, else all
-    of them.  The usage line lists every subcommand either way.
+    of them.  The usage line lists every subcommand either way.  The parsers
+    are shared by every later call, so nothing may change them.
     """
     parser = argparse.ArgumentParser(
         prog="sqzkd",
@@ -525,29 +535,29 @@ def build_parser(command: str | None = None
     # A parser built for one subcommand still lists them all in its usage
     # line.  The full parser lists them itself; a metavar would also rename
     # "argument command" in its invalid-choice message.
-    metavar = "{" + ",".join(entry[0] for entry in _COMMANDS) + "}" if chosen else None
+    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if chosen else None
     sub = parser.add_subparsers(dest="command", parser_class=_CommandParser, metavar=metavar)
     for name, summary, description, add_arguments in chosen or _COMMANDS:
         command_parser = sub.add_parser(name, help=summary, description=description)
         add_arguments(command_parser)
-        # looked up on every build, so that a wrapper installed since is called
-        command_parser.set_defaults(func=globals()[f"cmd_{name}"])
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = build_parser(argv[0] if argv else None)
+    # an unknown word shares the full parser's cache entry
+    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return 1
         if args.config is not None:
-            commands[args.command].set_config(args.config)
-            args = parser.parse_args(argv)
-        return args.func(args)
+            command = commands[args.command]
+            args = command.parse_args(argv[1:], command.config_namespace(args.config, args.command))
+        # looked up on every call, so that a wrapper installed since the build is called
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return 0 if not exc.code else 1
     except (ValueError, OSError, RuntimeError) as exc:

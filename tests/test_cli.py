@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzkd import cli, finite_size, protocol
+from sqzkd import cli, finite_size, gaussian, protocol
 from sqzkd.cli import _db_grid, _format_cell, main
 from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold
@@ -670,6 +670,36 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("n_samples", ["2", "3"])
+    def test_reconstruction_not_positive_definite_fails(self, capsys, tmp_path, n_samples):
+        # fewer records than moments: emulate skips the evaluation as statistically
+        # unphysical, and validate fails the same state with the kernel's message
+        prefix = str(tmp_path / "tiny")
+        assert run(capsys, "emulate", "--vr", "0.5", "--va", "0.5", "--eta", "0.58",
+                   "--n-samples", n_samples, "--seed", "3", "--out", prefix)[0] == 0
+        skipped = json.loads(Path(f"{prefix}_report.json").read_text(encoding="utf-8"))["error"]
+        code, out, err = run(capsys, "validate", f"{prefix}_reconstruction.json",
+                             "--tol", "0.05")
+        assert (code, err) == (2, "")
+        # the eigenvalue printed after the message's start depends on LAPACK
+        assert out.startswith("FAIL: covariance matrix is not positive definite (")
+        assert out.count("\n") == 1
+        assert skipped == "reconstructed matrix is statistically unphysical: " + out[6:-1]
+
+    @pytest.mark.parametrize("variance, code", [(1.0, 0), (0.3, 2)])
+    def test_spectrum_is_solved_once(self, capsys, monkeypatch, tmp_path, variance, code):
+        solved, spectra = [], gaussian._symplectic_spectra
+
+        def counted(gammas):
+            solved.append(len(gammas))
+            return spectra(gammas)
+
+        monkeypatch.setattr(gaussian, "_symplectic_spectra", counted)
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps([[variance, 0.0], [0.0, variance]]))
+        assert run(capsys, "validate", str(path))[0] == code
+        assert solved == [1]
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [
@@ -747,9 +777,19 @@ class TestTopLevel:
 
         monkeypatch.setattr(cli._CommandParser, "__init__", counted)
         monkeypatch.setattr(cli, "cmd_fig2", lambda args: 0)
+        cli.build_parser.cache_clear()
         run(capsys, *argv)
         named = argv[:1] if argv[:1] == ["fig2"] else COMMANDS
         assert built == [f"sqzkd {command}" for command in named]
+        run(capsys, *argv)  # the parser is built once per process
+        assert built == [f"sqzkd {command}" for command in named]
+
+    def test_unknown_words_share_the_full_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        for word in ("frobnicate", "FIG2", "fig", "report2", "-x", "--help", *COMMANDS):
+            run(capsys, word, "--help")
+            run(capsys, word + "x")
+        assert cli.build_parser.cache_info().currsize <= len(cli._COMMANDS) + 1
 
     @pytest.mark.parametrize("argv", [["a", "b"], ["--bogus"], ["--out"], ["--vn", "x"]])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -848,6 +888,21 @@ class TestConfigParity:
                                  argv + ["--config", config])
         assert by_config == self.outputs(capsys, monkeypatch, tmp_path / "plain", argv)
         assert by_config[0] in (0, 2)
+
+    @pytest.mark.parametrize("command", sorted(FLAG_VALUES))
+    def test_config_leaks_into_no_later_run(self, capsys, monkeypatch, tmp_path, matrix,
+                                            command):
+        # every parse shares the command's parser, which no config value may change
+        argv = [command] + ([matrix] if command == "validate" else [])
+        for key, value in BASE_FLAGS.get(command, {}).items():
+            argv += flag_argv(key, value)
+        config = write_config(tmp_path / "cfg.json", FLAG_VALUES[command])
+        before = self.outputs(capsys, monkeypatch, tmp_path / "before", argv)
+        by_config = self.outputs(capsys, monkeypatch, tmp_path / "config",
+                                 argv + ["--config", config])
+        assert by_config != before
+        assert self.outputs(capsys, monkeypatch, tmp_path / "after", argv) == before
+        assert before[0] in (0, 2)
 
     @pytest.mark.parametrize("command,key", [(c, k) for c, values in FLAG_VALUES.items()
                                              for k in values])
@@ -1096,3 +1151,12 @@ class TestRepeatedCalls:
         monkeypatch.undo()
         assert run(capsys, *argv)[0] == 0
         assert calls == ["fig2"]
+
+    def test_calls_the_command_patched_after_its_parser_was_cached(self, capsys, monkeypatch):
+        assert run(capsys, "fig2", "--help")[0] == 0
+        hits, seen = cli.build_parser.cache_info().hits, []
+        monkeypatch.setattr(cli, "cmd_fig2", lambda args: seen.append(vars(args)) or 0)
+        assert run(capsys, "fig2", "--transmissions", "0.5") == (0, "", "")
+        assert cli.build_parser.cache_info().hits == hits + 1
+        assert [(v["command"], v["transmissions"], "func" in v) for v in seen] == \
+            [("fig2", [0.5], False)]
