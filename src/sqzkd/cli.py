@@ -6,9 +6,8 @@ default is stated once, in its ``add_argument``, and ``--config`` turns the
 values of a JSON file into the defaults of the chosen command's parse,
 without changing its parser, so explicit flags win.  ``vars(args)`` is the
 resolved configuration; ``main`` calls ``cmd_<command>`` as bound when it
-runs.  A parser is built once per process: the invoked command's alone, or
-all of them for help, no command or an unknown one.  The sweeps write their
-CSV one series at a time, with one ``%`` over a row format.
+runs.  The parser, with every subcommand, is built once per process.  The
+sweeps write their CSV one series at a time, with one ``%`` over a row format.
 """
 
 from __future__ import annotations
@@ -324,6 +323,8 @@ def cmd_fig4(args) -> int:
 
 def cmd_emulate(args) -> int:
     params = _protocol_from(args)
+    if params.v_a == 0.0:  # x_a would be constant: its covariance has a zero diagonal entry
+        raise ValueError(f"emulate needs a positive --va (default 1 - vr), got {params.v_a:g}")
     cfg = EmulationConfig(n_samples=args.n_samples, seed=args.seed,
                           eta_bob_det=args.eta_bob_det, eta_eve_det=args.eta_eve_det,
                           ideal_detectors=args.ideal_detectors)
@@ -515,39 +516,28 @@ _COMMANDS = (
      "label (row 0) followed by modes; it is checked on the "
      "modes' state conditioned on the label.", _add_validate),
 )
-_COMMAND_NAMES = tuple(entry[0] for entry in _COMMANDS)
 
 
 @functools.cache
-def build_parser(command: str | None = None
-                 ) -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
-    """The top-level parser, and the subcommands' parsers by name, built once per argument.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The top-level parser and the subcommands' parsers by name, built once per process.
 
-    Only ``command``'s parser is added when it names a subcommand, else all
-    of them.  The usage line lists every subcommand either way.  The parsers
-    are shared by every later call, so nothing may change them.
+    Every later call shares them, so nothing may change them.
     """
     parser = argparse.ArgumentParser(
         prog="sqzkd",
         description="Security analysis for the single-quadrature squeezed-state protocol.",
     )
-    chosen = [entry for entry in _COMMANDS if entry[0] == command]
-    # A parser built for one subcommand still lists them all in its usage
-    # line.  The full parser lists them itself; a metavar would also rename
-    # "argument command" in its invalid-choice message.
-    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if chosen else None
-    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser, metavar=metavar)
-    for name, summary, description, add_arguments in chosen or _COMMANDS:
-        command_parser = sub.add_parser(name, help=summary, description=description)
-        add_arguments(command_parser)
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
+    for name, summary, description, add_arguments in _COMMANDS:
+        add_arguments(sub.add_parser(name, help=summary, description=description))
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # an unknown word shares the full parser's cache entry
-    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMAND_NAMES else None)
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

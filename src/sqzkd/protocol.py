@@ -107,7 +107,22 @@ def _series(p: ProtocolParams, v_a, solve, alone):
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Derived security quantities for one protocol instance (bits per symbol)."""
+    """Derived security quantities for one protocol instance (bits per symbol).
+
+    i_ab            mutual information of the sender's and receiver's X data
+    chi_e           Holevo bound on the eavesdropper's information about the
+                    receiver's X data (holevo_eb)
+    key_rate        beta * i_ab - chi_e, reverse reconciliation
+    c_eb, c_ea      squared correlation of her X with the receiver's, the sender's X
+    i_eb_classical, i_ea_classical
+                    Shannon information of one X homodyne on her mode about
+                    the receiver's, the sender's X (classical_leakage)
+    qmi_eb          quantum mutual information of the channel outputs
+
+    The two classical leakages are what one attack reaches, not upper bounds.
+    chi_e bounds only her information about the receiver's X data; nothing
+    in this package bounds her information about the sender's symbols.
+    """
 
     i_ab: float
     chi_e: float

@@ -580,6 +580,15 @@ class TestEmulate:
                 "--n-samples", "5000", "--seed", "42", "--out", prefix)
         assert (tmp_path / "a_samples.csv").read_bytes() == (tmp_path / "b_samples.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv", [["--vr", "1"], ["--va", "0"]])
+    def test_zero_modulation_rejected_before_drawing(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "generate_calibrated_samples", None)  # a draw would raise
+        code, out, err = run(capsys, "emulate", *argv, "--n-samples", "100")
+        assert (code, out) == (1, "")
+        assert "--va" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "emulate", "--n-samples", "100", "--seed", "1",
                            "--out", "/nonexistent-dir/run")
@@ -766,9 +775,8 @@ class TestTopLevel:
         assert code == 0
         assert out == cli.build_parser()[1][command].format_help()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["fig2"], ["fig2", "--help"], ["frobnicate"],
-                                      []])
-    def test_builds_the_invoked_command_alone(self, capsys, monkeypatch, argv):
+    @staticmethod
+    def count_builds(monkeypatch):
         built, init = [], cli._CommandParser.__init__
 
         def counted(parser, *args, **kwargs):
@@ -776,20 +784,29 @@ class TestTopLevel:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(cli._CommandParser, "__init__", counted)
-        monkeypatch.setattr(cli, "cmd_fig2", lambda args: 0)
         cli.build_parser.cache_clear()
-        run(capsys, *argv)
-        named = argv[:1] if argv[:1] == ["fig2"] else COMMANDS
-        assert built == [f"sqzkd {command}" for command in named]
-        run(capsys, *argv)  # the parser is built once per process
-        assert built == [f"sqzkd {command}" for command in named]
+        return built
 
-    def test_unknown_words_share_the_full_parser(self, capsys):
-        cli.build_parser.cache_clear()
+    @pytest.mark.parametrize("argv", [["--help"], ["fig2"], ["fig2", "--help"], ["frobnicate"],
+                                      []])
+    def test_builds_the_invoked_command_alone(self, capsys, monkeypatch, argv):
+        ran = []
+        for command in COMMANDS:
+            monkeypatch.setattr(cli, f"cmd_{command}", lambda args: ran.append(args.command) or 0)
+        built = self.count_builds(monkeypatch)
+        run(capsys, *argv)
+        run(capsys, *argv)  # the parser, with every command, is built once per process
+        assert built == [f"sqzkd {command}" for command in COMMANDS]
+        assert ran == (["fig2", "fig2"] if argv == ["fig2"] else [])
+
+    def test_unknown_words_share_the_full_parser(self, capsys, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        run(capsys)
         for word in ("frobnicate", "FIG2", "fig", "report2", "-x", "--help", *COMMANDS):
             run(capsys, word, "--help")
             run(capsys, word + "x")
-        assert cli.build_parser.cache_info().currsize <= len(cli._COMMANDS) + 1
+        assert built == [f"sqzkd {command}" for command in COMMANDS]
+        assert cli.build_parser.cache_info().currsize == 1
 
     @pytest.mark.parametrize("argv", [["a", "b"], ["--bogus"], ["--out"], ["--vn", "x"]])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -876,7 +893,7 @@ class TestConfigParity:
     @pytest.mark.parametrize("command", sorted(FLAG_VALUES))
     def test_keys_of_other_commands_are_ignored(self, capsys, monkeypatch, tmp_path, matrix,
                                                 command):
-        # main builds the invoked command's parser alone; the others' keys stay unknown to it
+        # each command's parser knows its own flags alone; the others' keys stay unknown to it
         others = {key: value for name, values in FLAG_VALUES.items() if name != command
                   for key, value in values.items() if key not in FLAG_VALUES[command]}
         assert others

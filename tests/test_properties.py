@@ -25,7 +25,13 @@ from sqzkd.emulator import (
 )
 from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold, security_region
-from sqzkd.gaussian import CovarianceMatrix, db_to_snu, snu_to_db
+from sqzkd.gaussian import (
+    CovarianceMatrix,
+    condition_on_label,
+    db_to_snu,
+    snu_to_db,
+    von_neumann_entropy,
+)
 from sqzkd.protocol import (
     ProtocolParams,
     build_joint_state,
@@ -358,6 +364,36 @@ def beamsplitter(gamma, i, j, t):
         s[a, a] = s[b, b] = np.sqrt(t)
         s[a, b], s[b, a] = np.sqrt(1.0 - t), -np.sqrt(1.0 - t)
     return s @ gamma @ s.T
+
+
+def gg02_holevo(v_a, eta):
+    """chi_E of GG02 over pure loss, entanglement-based, independently of the model's state.
+
+    A two-mode squeezed vacuum of variance V = 1 + v_a over (A, S), S through
+    the loss to Eve's vacuum mode.  A, B and E are then pure, so S(E) = S(AB)
+    and S(E | x_B) = S(A | x_B).
+    """
+    v = 1.0 + v_a
+    c = math.sqrt(v * v - 1.0)
+    gamma = np.zeros((6, 6))
+    gamma[:4, :4] = [[v, 0, c, 0], [0, v, 0, -c], [c, 0, v, 0], [0, -c, 0, v]]
+    gamma[4:, 4:] = np.eye(2)
+    gamma = beamsplitter(gamma, 1, 2, eta)  # B keeps a sqrt(eta) share of S
+    labelled = gamma[np.ix_([2, 0, 1], [2, 0, 1])]  # x_B, then A's quadratures
+    return (von_neumann_entropy(CovarianceMatrix(gamma[:4, :4]))
+            - von_neumann_entropy(condition_on_label(labelled)))
+
+
+@PROPERTY_SETTINGS
+@given(v_a=st.floats(0.0, 10.0), eta=eta_values)
+@example(v_a=1.0, eta=0.5)
+@example(v_a=10.0, eta=0.1)
+@example(v_a=3.0, eta=0.9)
+@example(v_a=0.2, eta=0.3)
+def test_gg02_holevo_equals_the_entanglement_based_computation(v_a, eta):
+    # GG02 in this model: a coherent source whose P modulation adds to its P variance
+    p = ProtocolParams(v_r=1.0, v_a=v_a, eta=eta, delta_v=v_a)
+    assert abs(holevo_eb(p) - gg02_holevo(v_a, eta)) <= 1e-12
 
 
 def quantum_model_record_covariance(p, cfg):
