@@ -163,43 +163,40 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit_rows(columns: list[str], series, grid_rows, fmt: str, out_path: str | None) -> None:
+def _emit_rows(columns: list[str], series, grid, fmt: str, out_path: str | None) -> None:
     """Write a sweep's table as CSV or as a JSON list of one object per row.
 
-    ``series`` holds ``(label cells, value cells per grid point)`` pairs and
-    ``grid_rows`` the grid's cells per point.  A row is the series' labels,
-    the point's grid cells, then its value cells.  JSON holds a non-finite
-    float as its text.
+    ``series`` holds ``(label cells, value columns)`` pairs and ``grid`` the
+    grid's columns.  A row is the series' labels, then the point's cell of
+    each grid and value column.  JSON holds a non-finite float as its text.
     """
     if fmt == "json":
         rows = [{key: str(c) if isinstance(c, float) and not math.isfinite(c) else c
-                 for key, c in zip(columns, (*labels, *point, *cells))}
-                for labels, values in series for point, cells in zip(grid_rows, values)]
+                 for key, c in zip(columns, (*labels, *row))}
+                for labels, values in series for row in zip(*grid, *values)]
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        grid = [list(map(_format_cell, column)) for column in zip(*grid_rows)]
-        text = ",".join(columns) + "\n" + "".join(_csv_series(labels, values, grid)
+        text = ",".join(columns) + "\n" + "".join(_csv_series(labels, [*grid, *values])
                                                    for labels, values in series)
     _write_text(out_path, text)
 
 
-def _csv_series(labels, values, grid) -> str:
+def _csv_series(labels, columns) -> str:
     """One series' CSV rows, as csv.writer writes them with every cell through _format_cell.
 
-    ``grid`` holds the grid's cells, formatted, column by column.  The rows
-    are one ``%`` over a row format: the formatted labels, ``%s`` for each
-    grid cell, then ``%.12g`` for a value column whose first cell is a float
-    (all its cells must be) and ``%s`` for one that _format_cell converts.
-    No cell holds a delimiter, quote or line break, so none is quoted.
+    The rows are one ``%`` over a row format: the formatted labels, then
+    ``%.12g`` for a column whose first cell is a float (all its cells must
+    be) and ``%s`` for one that _format_cell converts.  No cell holds a
+    delimiter, quote or line break, so none is quoted.
     """
-    columns = [*grid, *(column if isinstance(column[0], float) else list(map(_format_cell, column))
-                        for column in zip(*values))]
+    columns = [column if isinstance(column[0], float) else list(map(_format_cell, column))
+               for column in columns]
     row_fmt = "".join(_format_cell(c).replace("%", "%%") + "," for c in labels) \
         + ",".join("%.12g" if isinstance(column[0], float) else "%s" for column in columns) + "\n"
-    cells = [None] * (len(columns) * len(values))
+    cells = [None] * (len(columns) * len(columns[0]))
     for k, column in enumerate(columns):
         cells[k::len(columns)] = column
-    return (row_fmt * len(values)) % tuple(cells)
+    return (row_fmt * len(columns[0])) % tuple(cells)
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -250,8 +247,8 @@ def _sweep(args, labels: list[str], series, values: list[str], solve) -> int:
         raise ValueError(f"--va-max-db {args.va_max_db} puts a grid point at {grid[-1]} dB, beyond "
                          f"the largest float variance ({snu_to_db(sys.float_info.max):.2f} dB)"
                          ) from None
-    solved = [(head, list(zip(*solve(base, v_a_grid)))) for head, base in series]
-    _emit_rows([*labels, "v_a_db", "v_a_snu", *values], solved, list(zip(grid, v_a_grid)),
+    solved = [(head, solve(base, v_a_grid)) for head, base in series]
+    _emit_rows([*labels, "v_a_db", "v_a_snu", *values], solved, [grid, v_a_grid],
                args.format, args.out)
     return 0
 
@@ -336,14 +333,13 @@ def cmd_emulate(args) -> int:
     _write_text(f"{args.out}_reconstruction.json", json.dumps(recon.to_json_dict(), indent=2))
 
     expected = expected_record_covariance(params, cfg)
+    upper = np.triu_indices(5)
+    data, model, err = recon.moments[upper], expected[upper], recon.standard_errors[upper]
+    gap = np.abs(data - model)  # a cell whose error bar is 0 gets a nan sigma, and no warning
+    sigma = np.divide(gap, err, out=np.full_like(gap, np.nan), where=err > 0.0)
     lines = ["entry        data          expected      std_err       sigma"]
-    for i in range(5):
-        for j in range(i, 5):
-            data_v = recon.moments[i, j]
-            exp_v = expected[i, j]
-            err = recon.standard_errors[i, j]
-            sigma = abs(data_v - exp_v) / err
-            lines.append(f"({i},{j})    {data_v:13.6g} {exp_v:13.6g} {err:13.6g} {sigma:9.3f}")
+    lines += [f"({i},{j})    {d:13.6g} {e:13.6g} {s:13.6g} {g:9.3f}"
+              for i, j, d, e, s, g in zip(*upper, data, model, err, sigma)]
 
     report_path = f"{args.out}_report.json"
     try:

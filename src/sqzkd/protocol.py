@@ -375,8 +375,6 @@ def classical_leakage(p: ProtocolParams, party: str) -> tuple[float, float]:
         cov = math.sqrt(p.eta * (1.0 - p.eta)) * (big_v - w)
         v_other = p.eta * big_v + (1.0 - p.eta) * w + p.v_n
     elif which == "A":
-        if p.v_a == 0.0:
-            return 0.0, 0.0
         cov = math.sqrt(1.0 - p.eta) * p.v_a
         v_other = p.v_a
     else:

@@ -360,10 +360,14 @@ class TestSweepWriter:
         (("squeezed", 0.098), [(-0.0, False), (5e-324, True), (1e300, False)]),
         (("50%", 1 / 3), [(0.1 + 0.2, True), (-1.5e-7, False), (123456789012345.0, True)]),
     ]
+    # _emit_rows takes the same tables column by column
+    GRID_COLUMNS = list(zip(*GRID))
+    SERIES_COLUMNS = [(labels, list(zip(*values))) for labels, values in SERIES]
 
     def test_csv_equals_csv_writer(self, tmp_path):
         target = tmp_path / "rows.csv"
-        cli._emit_rows(self.COLUMNS, self.SERIES, self.GRID, "csv", str(target))
+        cli._emit_rows(self.COLUMNS, self.SERIES_COLUMNS, self.GRID_COLUMNS, "csv",
+                       str(target))
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(self.COLUMNS)
@@ -378,7 +382,8 @@ class TestSweepWriter:
 
     def test_json_holds_non_finite_cells_as_text(self, tmp_path):
         target = tmp_path / "rows.json"
-        cli._emit_rows(self.COLUMNS, self.SERIES, self.GRID, "json", str(target))
+        cli._emit_rows(self.COLUMNS, self.SERIES_COLUMNS, self.GRID_COLUMNS, "json",
+                       str(target))
         text = target.read_text(encoding="utf-8")
         for line in ['"value": "inf"', '"value": "-inf"', '"value": "nan"', '"flag": true',
                      '"flag": false', '"value": -0.0', '"value": 5e-324', '"value": 1e+300']:
@@ -572,6 +577,16 @@ class TestEmulate:
         lines = out.splitlines()
         assert len(lines) == 17
         assert lines[-1] == f"security evaluation skipped: {message}"
+
+    @pytest.mark.parametrize("va", ["1e-300", "1e-320"])
+    def test_zero_standard_error_prints_a_nan_sigma(self, capsys, tmp_path, va):
+        # x_a's squared samples underflow to 0, and so does the error bar of its variance
+        code, out, _ = run(capsys, "emulate", "--va", va, "--n-samples", "100",
+                           "--out", str(tmp_path / "tiny"))
+        assert code == 0
+        row = out.splitlines()[1]
+        assert row.startswith("(0,0) ") and row.endswith(" nan")
+        assert "error" in json.loads((tmp_path / "tiny_report.json").read_text(encoding="utf-8"))
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

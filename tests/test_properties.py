@@ -190,6 +190,24 @@ def test_holevo_monotone_either_side_of_decoupling(v_r, eta, delta_v, v_n, grid)
 
 
 @PROPERTY_SETTINGS
+@given(v_r=v_r_values, v_a=st.floats(0.0, 10.0), eta=eta_values, delta_v=delta_v_values,
+       v_n=v_n_values)
+def test_holevo_monotone_in_the_source_at_zero_excess_noise(v_r, v_a, eta, delta_v, v_n):
+    # The worst chi_E over a box of trusted source parameters is at a corner:
+    # chi_E is monotone in v_r on either side of v_r = 1 - v_a, and never
+    # rises with delta_v.  Tolerance as in the v_a test above.
+    p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n)
+    v_rs = np.linspace(0.1, 1.0, 301).tolist()
+    chi = [holevo_eb(replace(p, v_r=x)) for x in v_rs]
+    below = [c for x, c in zip(v_rs, chi) if x <= 1.0 - v_a]
+    above = [c for x, c in zip(v_rs, chi) if x >= 1.0 - v_a]
+    assert all(a >= b - 1e-12 for a, b in zip(below, below[1:]))
+    assert all(a <= b + 1e-12 for a, b in zip(above, above[1:]))
+    chi = [holevo_eb(replace(p, delta_v=dv)) for dv in np.linspace(0.0, 10.0, 201).tolist()]
+    assert all(a >= b - 1e-12 for a, b in zip(chi, chi[1:]))
+
+
+@PROPERTY_SETTINGS
 @given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
        epsilon=st.floats(0.0, 0.1, exclude_min=True, exclude_max=True),
        grid=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=60))
@@ -332,6 +350,21 @@ def test_optimal_modulation_not_below_a_dense_grid(v_r, eta, delta_v, v_n, epsil
         mutual_information_ab_series(p, grid), holevo_eb_series(p, grid))]
     assert 0.0 <= v_star <= 10.0
     assert rate >= max(rates) - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
+       epsilon=epsilon_values, beta=st.floats(0.0, 1.0, exclude_min=True))
+def test_key_rate_has_one_peak(v_r, eta, delta_v, v_n, epsilon, beta):
+    # optimal_modulation's bracket relies on it: on [0, 10] the rate's slope
+    # changes sign at most once.  Steps within 1e-12 bits are rounding.
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon,
+                       beta=beta)
+    grid = np.concatenate(([0.0], np.logspace(-4, 1, 801)))
+    rates = [beta * i_ab - chi for i_ab, chi in zip(
+        mutual_information_ab_series(p, grid), holevo_eb_series(p, grid))]
+    slopes = [b > a for a, b in zip(rates, rates[1:]) if abs(b - a) > 1e-12]
+    assert sum(s != t for s, t in zip(slopes, slopes[1:])) <= 1
 
 
 @PROPERTY_SETTINGS
