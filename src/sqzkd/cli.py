@@ -8,6 +8,8 @@ without changing its parser, so explicit flags win.  ``vars(args)`` is the
 resolved configuration; ``main`` calls ``cmd_<command>`` as bound when it
 runs.  The parser, with every subcommand, is built once per process.  The
 sweeps write their CSV one series at a time, with one ``%`` over a row format.
+numpy loads on first use (``sqzkd._numpy``): ``--help``, ``fig2`` and ``fig3``
+never load it; ``fig4``'s ε > 0 series, ``report``, ``emulate`` and ``validate`` do.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import re
 import sys
 from dataclasses import replace
 
-import numpy as np
-
+from . import _numpy as np
 from .emulator import (
     STATISTICAL_PHYSICALITY_TOL,
     EmulationConfig,

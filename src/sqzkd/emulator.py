@@ -25,8 +25,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import InsufficientDataError, SymplecticPairingError, UnphysicalStateError
 from .gaussian import CovarianceMatrix, condition_on_label, von_neumann_entropy
 from .protocol import (

@@ -15,8 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     DegenerateMeasurementError,
     SymplecticPairingError,

@@ -13,7 +13,8 @@ The central fact implemented here: with ``v_r + v_a = 1`` and ``epsilon = 0``
 the eavesdropper's state is statistically independent of the receiver's
 measurement outcome, so both her Shannon and Holevo information about it
 vanish identically, for any loss, any detector noise and any impurity of the
-squeezing.
+squeezing, as long as that impurity is trusted: were she to hold its
+purification, she would learn 0.149 bits at v_r = v_a = 0.5, delta_v = 1, eta = 0.5.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
+from . import _numpy as np
 from .gaussian import (
     PHYSICALITY_TOL,
     CovarianceMatrix,
@@ -88,19 +88,24 @@ class ProtocolParams:
 
 
 def _series(p: ProtocolParams, v_a, solve, alone):
-    """``solve(p, values)`` of ``v_a`` as a 1-D float array, raising as its first failing point."""
-    values = np.asarray(v_a, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"modulations must be a 1-D sequence, got shape {values.shape}")
+    """``solve(p, values)`` of ``v_a`` as a list of floats, raising as its first failing point.
+
+    Checked in Python; numpy loads only to tell the shape of an input float rejects.
+    """
+    try:  # tolist gives an array of more than one dimension as lists, which float rejects
+        if isinstance(v_a, (str, bytes)):  # one value to numpy, not a sequence of characters
+            raise TypeError
+        values = list(map(float, v_a.tolist() if hasattr(v_a, "tolist") else v_a))
+    except TypeError:
+        if np.ndim(v_a) == 1:  # an element that is no real number, such as None
+            raise
+        raise ValueError(f"modulations must be a 1-D sequence, got shape {np.shape(v_a)}") from None
     try:
-        if not np.all((values >= 0.0) & np.isfinite(values)):
+        if not (min(values, default=0.0) >= 0.0 and all(map(math.isfinite, values))):
             raise ValueError("a modulation is negative or not finite")
-        # numpy warns where Python floats do not; every overflow raises or
-        # gives the scalar's inf anyway
-        with np.errstate(over="ignore", invalid="ignore"):
-            return solve(p, values)
+        return solve(p, values)
     except (ValueError, RuntimeError):
-        for value in values.tolist():  # raise what the first failing point raises alone
+        for value in values:  # raise what the first failing point raises alone
             alone(replace(p, v_a=value))
         raise
 
@@ -206,7 +211,7 @@ def mutual_information_ab(p: ProtocolParams) -> float:
     0.5 log2((eta v_a + eta v_r + v_n + 1 - eta + eta epsilon)
              / (eta v_r + v_n + 1 - eta + eta epsilon)).
     """
-    return 0.5 * math.log2(_snr_ratio(p, p.v_a))
+    return 0.5 * math.log2(_snr_ratio(p, [p.v_a])[0])
 
 
 def mutual_information_ab_series(p: ProtocolParams, v_a) -> list[float]:
@@ -214,18 +219,17 @@ def mutual_information_ab_series(p: ProtocolParams, v_a) -> list[float]:
 
     Bit-identical to mutual_information_ab point by point.
     """
-    ratios = _series(p, v_a, _snr_ratio, mutual_information_ab)
-    return [0.5 * math.log2(ratio) for ratio in ratios.tolist()]
+    return [0.5 * math.log2(ratio) for ratio in _series(p, v_a, _snr_ratio, mutual_information_ab)]
 
 
-def _snr_ratio(p: ProtocolParams, v_a):
-    """The argument of I_AB's log2, for a float or an array ``v_a``."""
+def _snr_ratio(p: ProtocolParams, v_a: list[float]) -> list[float]:
+    """The argument of I_AB's log2 at each modulation of ``v_a``."""
     eta = p.eta
     if eta == 1.0:  # no 1 - eta term, whose cancellation would swamp a small v_r
         base = p.v_r + p.v_n + p.epsilon
     else:
         base = eta * p.v_r + p.v_n + 1.0 - eta + eta * p.epsilon
-    return (eta * v_a + base) / base
+    return [(eta * v + base) / base for v in v_a]
 
 
 def _clamp_chis(chis: list[float]) -> list[float]:
@@ -291,8 +295,7 @@ def holevo_eb(p: ProtocolParams) -> float:
     overflows double precision.
     """
     if p.epsilon == 0.0:
-        det_e, det_e_given_b = _lossy_determinants(p, p.v_a)
-        return _lossy_holevo([det_e], [det_e_given_b])[0]
+        return _lossy_holevo(*_lossy_determinants(p, [p.v_a]))[0]
     return _noisy_holevo(p)[0]
 
 
@@ -310,22 +313,19 @@ def _noisy_holevo(p: ProtocolParams) -> tuple[float, np.ndarray, float]:
 def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
     """holevo_eb at each modulation of ``v_a``, the other parameters from ``p``.
 
-    One stacked solve for the whole series, bit-identical to holevo_eb point
-    by point: the lossy closed form runs element-wise, and with excess noise
-    one eigen-solve per entropy serves every joint state.
+    Bit-identical to holevo_eb point by point: the lossy closed form runs on
+    Python floats, and with excess noise one stacked eigen-solve per entropy
+    serves every joint state.
     """
     return _series(p, v_a, _holevo_stacked, holevo_eb)
 
 
-def _holevo_stacked(p: ProtocolParams, v_a: np.ndarray) -> list[float]:
-    """holevo_eb at each modulation of the float array ``v_a``, in one stacked solve.
-
-    Callers silence numpy's overflow warnings: every overflow raises here.
-    """
+def _holevo_stacked(p: ProtocolParams, v_a: list[float]) -> list[float]:
+    """holevo_eb at each modulation of ``v_a``; with excess noise, in one stacked solve."""
     if p.epsilon == 0.0:
-        det_e, det_e_given_b = _lossy_determinants(p, v_a)
-        return _lossy_holevo(det_e.tolist(), det_e_given_b.tolist())
-    return _holevo_stack(_joint_states(p, v_a), p.v_n, PHYSICALITY_TOL)[0]
+        return _lossy_holevo(*_lossy_determinants(p, v_a))
+    with np.errstate(over="ignore", invalid="ignore"):  # it raises on every overflow
+        return _holevo_stack(_joint_states(p, np.array(v_a)), p.v_n, PHYSICALITY_TOL)[0]
 
 
 def _lossy_holevo(det_e: list[float], det_e_given_b: list[float]) -> list[float]:
@@ -334,15 +334,15 @@ def _lossy_holevo(det_e: list[float], det_e_given_b: list[float]) -> list[float]
     return _clamp_chis([a - b for a, b in zip(g, g[len(det_e):])])
 
 
-def _lossy_determinants(p: ProtocolParams, v_a):
-    """V_E^X V_E^P and V_{E|B}^X V_E^P of holevo_eb's lossy closed form, for a float or an array."""
-    eta, v_n = p.eta, p.v_n
-    loss = 1.0 - eta
-    big_v = p.v_r + v_a
-    v_e_x = eta + loss * big_v
+def _lossy_determinants(p: ProtocolParams, v_a: list[float]) -> tuple[list[float], list[float]]:
+    """V_E^X V_E^P and V_{E|B}^X V_E^P of holevo_eb's lossy closed form at each modulation."""
+    eta, v_n, loss = p.eta, p.v_n, 1.0 - p.eta
+    big_vs = [p.v_r + v for v in v_a]
     v_e_p = eta + loss * p.anti_squeezed_variance
-    v_eb_x = (big_v + v_n * loss * big_v + eta * v_n) / (v_n + 1.0 - eta + eta * big_v)
-    return v_e_x * v_e_p, v_eb_x * v_e_p
+    # V_E^X and V_{E|B}^X, each times V_E^P; the terms free of V round as in the formula
+    gain, shift, floor = v_n * loss, eta * v_n, v_n + 1.0 - eta
+    return ([(eta + loss * big_v) * v_e_p for big_v in big_vs],
+            [(big_v + gain * big_v + shift) / (floor + eta * big_v) * v_e_p for big_v in big_vs])
 
 
 def shannon_leakage(correlation: float) -> float:
@@ -517,11 +517,10 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
     w_a, w_b = a, b  # the window, rated next
     best = 0.5 * (a + b)  # returned as it is where no round runs
     while b - a > tol:
-        grid = np.linspace(w_a, w_b, _SEARCH_POINTS)
-        points = grid.tolist()
+        points = np.linspace(w_a, w_b, _SEARCH_POINTS).tolist()
         # beta * I_AB - chi_E, as key_rate_asymptotic computes it at each point
         rates = [check(v_a, p.beta * i_ab - chi) for v_a, i_ab, chi in zip(
-            points, mutual_information_ab_series(p, grid), holevo_eb_series(p, grid))]
+            points, mutual_information_ab_series(p, points), holevo_eb_series(p, points))]
         k = rates.index(max(rates))
         best, h = points[k], (w_b - w_a) / last
         if 0 < k < last:

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -1140,7 +1142,7 @@ class TestOneGridLoop:
         rows = json.loads(out)
         points = [ProtocolParams(v_r=0.5 if r["protocol"] == "squeezed" else 1.0,
                                  v_a=r["v_a_snu"], eta=r["eta"]) for r in rows]
-        nus = [math.sqrt(protocol._lossy_determinants(p, p.v_a)[0]) for p in points]
+        nus = [math.sqrt(protocol._lossy_determinants(p, [p.v_a])[0][0]) for p in points]
         assert min(nus) < LARGE_NU < max(nus)
         assert [r["chi_e_bits"].hex() for r in rows] == \
             [protocol.holevo_eb(p).hex() for p in points]
@@ -1192,3 +1194,32 @@ class TestRepeatedCalls:
         assert cli.build_parser.cache_info().hits == hits + 1
         assert [(v["command"], v["transmissions"], "func" in v) for v in seen] == \
             [("fig2", [0.5], False)]
+
+
+class TestStartsWithoutNumpy:
+    """The parser, --help, fig2 and fig3 run in a fresh interpreter that never imports numpy."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run_fresh(self, code, cwd):
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             code + "\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'"],
+            env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")}, cwd=cwd,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_import_and_parser(self, tmp_path):
+        self.run_fresh("import sqzkd.cli\nsqzkd.cli.build_parser()", tmp_path)
+
+    def test_help(self, tmp_path):
+        out = self.run_fresh("from sqzkd.cli import main\nassert main(['--help']) == 0", tmp_path)
+        assert out.startswith("usage: sqzkd")
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3"])
+    def test_figure_matches_reference(self, tmp_path, command):
+        self.run_fresh(f"from sqzkd.cli import main\n"
+                       f"assert main([{command!r}, '--out', 'out.csv']) == 0", tmp_path)
+        reference = self.ROOT / "bench" / "reference" / f"{command}.csv"
+        assert (tmp_path / "out.csv").read_bytes() == reference.read_bytes()

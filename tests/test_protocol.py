@@ -947,3 +947,80 @@ class TestPointCache:
         assert finite == (self.FINITE.n_key / self.FINITE.n_total) * (
             rate - delta_correction(self.FINITE))
 
+
+class TestSeriesInputs:
+    """The series accept any 1-D sequence of numbers and reject the rest as before.
+
+    The messages are those the series gave when they checked their input
+    with numpy; valid input gives each point's own bits.
+    """
+
+    PARAMS = {
+        "lossy": ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5, delta_v=0.3, v_n=0.1),
+        "lossless": ProtocolParams(v_r=0.5, v_a=1.0, eta=1.0),
+        "excess-noise": ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5, delta_v=0.3, epsilon=0.05,
+                                       v_n=0.1),
+    }
+    SERIES = {"chi_e": (holevo_eb_series, holevo_eb),
+              "i_ab": (mutual_information_ab_series, mutual_information_ab)}
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("v_a", [
+        [0.0, 0.5, 1.0, 2.5],
+        (0.0, 0.5, 1.0, 2.5),
+        np.array([0.0, 0.5, 1.0, 2.5]),
+        [0, 1, 3],
+        [-0.0, 1e-310, 1e3],
+        [],
+    ], ids=["list", "tuple", "ndarray", "ints", "edges", "empty"])
+    def test_valid_input_gives_each_points_bits(self, v_a, params, series):
+        solve, alone = self.SERIES[series]
+        p = self.PARAMS[params]
+        values = solve(p, v_a)
+        assert all(type(value) is float for value in values)
+        assert [value.hex() for value in values] == \
+            [alone(replace(p, v_a=float(v))).hex() for v in v_a]
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("v_a, message", [
+        ([[0.5, 1.0], [2.0, 3.0]], "modulations must be a 1-D sequence, got shape (2, 2)"),
+        ([[0.5], [1.0]], "modulations must be a 1-D sequence, got shape (2, 1)"),
+        (np.array([[0.5, 1.0], [2.0, 3.0]]), "modulations must be a 1-D sequence, got shape (2, 2)"),
+        (np.array([[0.5], [1.0]]), "modulations must be a 1-D sequence, got shape (2, 1)"),
+        (0.5, "modulations must be a 1-D sequence, got shape ()"),
+        (np.float64(0.5), "modulations must be a 1-D sequence, got shape ()"),
+        (np.array(0.5), "modulations must be a 1-D sequence, got shape ()"),
+        ("123", "modulations must be a 1-D sequence, got shape ()"),
+        (b"12", "modulations must be a 1-D sequence, got shape ()"),
+        ([0.5, -0.5, 1.0], "v_a must be finite and >= 0, got -0.5"),
+        ([0.5, math.nan], "v_a must be finite and >= 0, got nan"),
+        ([0.5, math.inf, 1.0], "v_a must be finite and >= 0, got inf"),
+        (np.array([0.5, -math.inf]), "v_a must be finite and >= 0, got -inf"),
+    ], ids=["list-2d", "list-column", "ndarray-2d", "ndarray-column", "scalar", "numpy-scalar",
+            "ndarray-0d", "text", "bytes", "negative", "nan", "inf", "ndarray-minus-inf"])
+    def test_invalid_input_raises_as_before(self, v_a, message, params, series):
+        solve, _ = self.SERIES[series]
+        with pytest.raises(ValueError) as raised:
+            solve(self.PARAMS[params], v_a)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("v_a", [[[0.5, 1.0], [2.0]], [0.5, [1.0]]], ids=["ragged", "mixed"])
+    def test_ragged_input_raises_numpys_error(self, v_a, series):
+        solve, _ = self.SERIES[series]
+        with pytest.raises(ValueError, match="^setting an array element with a sequence"):
+            solve(self.PARAMS["lossy"], v_a)
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("element", [None, 1j, "x"], ids=["none", "complex", "text"])
+    def test_element_that_is_no_number_raises_as_float_does(self, element, series):
+        # numpy read None as nan, which the point alone rejected; float rejects it
+        solve, _ = self.SERIES[series]
+        with pytest.raises((TypeError, ValueError)) as expected:
+            float(element)
+        with pytest.raises(expected.type) as raised:
+            solve(self.PARAMS["lossy"], [0.5, element])
+        assert str(raised.value) == str(expected.value)
