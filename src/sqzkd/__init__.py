@@ -7,18 +7,12 @@ her Shannon and Holevo information.  This package provides the Gaussian
 covariance-matrix kernel, the analytic protocol model, finite-size
 corrections, a Monte-Carlo emulator of the measured-data pipeline, and a CLI
 for parameter sweeps.
+
+The emulator's exports load on first use (PEP 562): ``import sqzkd`` runs no
+``sqzkd.emulator`` until one of its names is read, and numpy loads when a
+module first reads a name from ``sqzkd._numpy``.
 """
 
-from .emulator import (
-    EmulationConfig,
-    ReconstructedCM,
-    SampleBatch,
-    expected_record_covariance,
-    generate_calibrated_samples,
-    generate_samples,
-    reconstruct_covariance,
-    security_from_data,
-)
 from .errors import (
     DegenerateMeasurementError,
     InsufficientDataError,
@@ -60,3 +54,16 @@ from .protocol import (
 )
 
 __version__ = "0.1.0"
+
+_EMULATOR_EXPORTS = frozenset((
+    "EmulationConfig", "ReconstructedCM", "SampleBatch", "expected_record_covariance",
+    "generate_calibrated_samples", "generate_samples", "reconstruct_covariance",
+    "security_from_data"))
+
+
+def __getattr__(name: str):
+    """An emulator export, read from ``sqzkd.emulator`` on each use (PEP 562)."""
+    if name not in _EMULATOR_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import emulator
+    return getattr(emulator, name)

@@ -10,32 +10,25 @@ runs.  The parser, with every subcommand, is built once per process.  The
 sweeps write their CSV one series at a time, with one ``%`` over a row format.
 numpy loads on first use (``sqzkd._numpy``): ``--help``, ``fig2`` and ``fig3``
 never load it; ``fig4``'s ε > 0 series, ``report``, ``emulate`` and ``validate`` do.
+``sqzkd.emulator`` loads when ``emulate`` runs and ``json`` when a command reads or
+writes JSON, so the parser, ``--help`` and the CSV figures load neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
 from dataclasses import replace
 
 from . import _numpy as np
-from .emulator import (
-    STATISTICAL_PHYSICALITY_TOL,
-    EmulationConfig,
-    ReconstructedCM,
-    expected_record_covariance,
-    generate_calibrated_samples,
-    reconstruct_covariance,
-    security_from_data,
-)
 from .errors import SymplecticPairingError, UnphysicalStateError
 from .finite_size import FiniteSizeParams, _threshold, delta_correction, security_region
 from .gaussian import (
     PHYSICALITY_TOL,
+    STATISTICAL_PHYSICALITY_TOL,
     CovarianceMatrix,
     _entropy_gs,
     condition_on_label,
@@ -43,8 +36,9 @@ from .gaussian import (
     snu_to_db,
     symplectic_eigenvalues,
 )
-from .protocol import (ProtocolParams, decoupling_modulation, holevo_eb_series,
-                       mutual_information_ab_series, security_report)
+from .protocol import (DEFAULT_ETA_BOB_DET, DEFAULT_ETA_EVE_DET, ProtocolParams,
+                       decoupling_modulation, holevo_eb_series, mutual_information_ab_series,
+                       security_report)
 
 COHERENT_REFERENCE_ETA = 0.58
 DEFAULT_SQUEEZING_SNU = 0.5
@@ -72,6 +66,7 @@ def _is_number(value) -> bool:
 
 def _config_value(key: str, raw, action: argparse.Action):
     """A config file's ``raw`` value converted as its flag converts command-line text."""
+    import json
     if action.nargs == 0:
         expected, ok = "true or false", isinstance(raw, bool)
     elif action.type is None:
@@ -135,8 +130,7 @@ class _CommandParser(argparse.ArgumentParser):
         this command's flags are ignored, and a linear key beats its dB twin.
         A value of the wrong JSON type raises ValueError.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = _read_json(path)
         if not isinstance(config, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         values = {}
@@ -148,6 +142,16 @@ class _CommandParser(argparse.ArgumentParser):
             if key == action.dest or action.dest not in values:
                 values[action.dest] = value
         return argparse.Namespace(command=command, **values)
+
+
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; ValueError names the file if it holds none."""
+    import json
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _protocol_from(args) -> ProtocolParams:
@@ -172,6 +176,7 @@ def _emit_rows(columns: list[str], series, grid, fmt: str, out_path: str | None)
     each grid and value column.  JSON holds a non-finite float as its text.
     """
     if fmt == "json":
+        import json
         rows = [{key: str(c) if isinstance(c, float) and not math.isfinite(c) else c
                  for key, c in zip(columns, (*labels, *row))}
                 for labels, values in series for row in zip(*grid, *values)]
@@ -320,6 +325,9 @@ def cmd_fig4(args) -> int:
 
 
 def cmd_emulate(args) -> int:
+    import json
+    from .emulator import (EmulationConfig, ReconstructedCM, expected_record_covariance,
+                           generate_calibrated_samples, reconstruct_covariance, security_from_data)
     params = _protocol_from(args)
     if params.v_a == 0.0:  # x_a would be constant: its covariance has a zero diagonal entry
         raise ValueError(f"emulate needs a positive --va (default 1 - vr), got {params.v_a:g}")
@@ -362,15 +370,17 @@ def cmd_emulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.matrix)
     if isinstance(payload, dict):
         raw = payload.get("matrix")
         if raw is None:
             raise ValueError(f"{args.matrix}: no 'matrix' key in JSON object")
     else:
         raw = payload
-    matrix = np.asarray(raw, dtype=float)
+    try:
+        matrix = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or an entry that is no number
+        raise ValueError(f"{args.matrix}: {exc}") from None
     if matrix.ndim == 2 and len(matrix) % 2 == 1:  # a label row, then modes
         cm = condition_on_label(matrix)
     else:
@@ -471,9 +481,9 @@ def _add_emulate(parser: _CommandParser) -> None:
                         help="random seed; output is bit-reproducible given it")
     parser.add_argument("--n-samples", type=int, default=100000,
                         help="number of records to draw")
-    parser.add_argument("--eta-bob-det", type=float, default=EmulationConfig.eta_bob_det,
+    parser.add_argument("--eta-bob-det", type=float, default=DEFAULT_ETA_BOB_DET,
                         help="receiver homodyne efficiency")
-    parser.add_argument("--eta-eve-det", type=float, default=EmulationConfig.eta_eve_det,
+    parser.add_argument("--eta-eve-det", type=float, default=DEFAULT_ETA_EVE_DET,
                         help="eavesdropper homodyne efficiency")
     parser.add_argument("--ideal-detectors", action="store_true",
                         help="disable detector imperfections")

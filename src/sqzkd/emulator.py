@@ -27,8 +27,11 @@ from dataclasses import dataclass, replace
 
 from . import _numpy as np
 from .errors import InsufficientDataError, SymplecticPairingError, UnphysicalStateError
-from .gaussian import CovarianceMatrix, condition_on_label, von_neumann_entropy
+from .gaussian import (STATISTICAL_PHYSICALITY_TOL, CovarianceMatrix, condition_on_label,
+                       von_neumann_entropy)
 from .protocol import (
+    DEFAULT_ETA_BOB_DET,
+    DEFAULT_ETA_EVE_DET,
     ProtocolParams,
     SecurityReport,
     environment_variance,
@@ -36,9 +39,6 @@ from .protocol import (
     qmi_from_cm,
     shannon_leakage,
 )
-
-# Statistical slack on the uncertainty bound for reconstructed matrices.
-STATISTICAL_PHYSICALITY_TOL = 0.05
 
 # Indices of the recorded variables, the samples CSV's column order.
 XA, XB, PB, XE, PE = range(5)
@@ -67,8 +67,8 @@ class EmulationConfig:
 
     n_samples: int
     seed: int
-    eta_bob_det: float = 0.85
-    eta_eve_det: float = 0.95
+    eta_bob_det: float = DEFAULT_ETA_BOB_DET
+    eta_eve_det: float = DEFAULT_ETA_EVE_DET
     ideal_detectors: bool = False
 
     def __post_init__(self):

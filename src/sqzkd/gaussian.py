@@ -28,6 +28,8 @@ SYMMETRY_TOL = 1e-12
 # Symplectic eigenvalues may undershoot 1 by this much before a state is
 # rejected as unphysical; anything in [1 - tol, 1] is treated as exactly 1.
 PHYSICALITY_TOL = 1e-9
+# The same bound's statistical slack for reconstructed matrices.
+STATISTICAL_PHYSICALITY_TOL = 0.05
 
 
 @dataclass(frozen=True, eq=False)

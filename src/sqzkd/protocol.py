@@ -20,7 +20,6 @@ purification, she would learn 0.149 bits at v_r = v_a = 0.5, delta_v = 1, eta = 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -37,6 +36,11 @@ from .gaussian import (
 # |chi_E| below this is treated as floating-point noise and clamped to zero;
 # anything more negative indicates a modelling bug and raises.
 CHI_NOISE_FLOOR = 1e-9
+
+# Default homodyne efficiencies of the receiver's and the eavesdropper's
+# detectors, which the emulator models (EmulationConfig, emulate's flags).
+DEFAULT_ETA_BOB_DET = 0.85
+DEFAULT_ETA_EVE_DET = 0.95
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,7 @@ class SecurityReport:
         return asdict(self)
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.as_dict(), indent=2)
 
 

@@ -105,6 +105,17 @@ class TestConfigFile:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[" * 100_000 + "]" * 100_000, ""),  # a RecursionError, worded per Python version
+    ], ids=["not-json", "nested-too-deeply"])
+    def test_unreadable_config_names_the_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "fig2", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
 
 class TestFig2:
     def test_default_sweep(self, capsys, tmp_path):
@@ -600,7 +611,8 @@ class TestEmulate:
     @pytest.mark.parametrize("argv", [["--vr", "1"], ["--va", "0"]])
     def test_zero_modulation_rejected_before_drawing(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "generate_calibrated_samples", None)  # a draw would raise
+        # a draw would raise
+        monkeypatch.setattr("sqzkd.emulator.generate_calibrated_samples", None)
         code, out, err = run(capsys, "emulate", *argv, "--n-samples", "100")
         assert (code, out) == (1, "")
         assert "--va" in err
@@ -695,6 +707,18 @@ class TestValidate:
         path.write_text("{not json")
         code, _, _ = run(capsys, "validate", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[[1, 0], [0]]", "setting an array element with a sequence"),
+        ('{"matrix": [[1, 0], [0, {}]]}', "float() argument must be"),
+    ], ids=["not-json", "ragged", "not-a-number"])
+    def test_unreadable_matrix_names_the_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("n_samples", ["2", "3"])
     def test_reconstruction_not_positive_definite_fails(self, capsys, tmp_path, n_samples):
@@ -1201,10 +1225,11 @@ class TestStartsWithoutNumpy:
 
     ROOT = Path(__file__).resolve().parent.parent
 
-    def run_fresh(self, code, cwd):
+    def run_fresh(self, code, cwd, absent=("numpy",)):
         done = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-c",
-             code + "\nimport sys\nassert 'numpy' not in sys.modules, 'numpy was imported'"],
+             code + "\nimport sys" + "".join(f"\nassert {name!r} not in sys.modules, "
+                                             f"'{name} was imported'" for name in absent)],
             env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")}, cwd=cwd,
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -1223,3 +1248,78 @@ class TestStartsWithoutNumpy:
                        f"assert main([{command!r}, '--out', 'out.csv']) == 0", tmp_path)
         reference = self.ROOT / "bench" / "reference" / f"{command}.csv"
         assert (tmp_path / "out.csv").read_bytes() == reference.read_bytes()
+
+
+class TestImportsOnlyWhatItRuns:
+    """Fresh interpreters load sqzkd.emulator only for emulate, and json only for JSON I/O."""
+
+    ROOT = TestStartsWithoutNumpy.ROOT
+    run_fresh = TestStartsWithoutNumpy.run_fresh
+    # A site hook may import json before sqzkd does, so it is looked for among
+    # the modules loaded since this snapshot.
+    BEFORE = "import sys\nbefore = set(sys.modules)\n"
+    NO_JSON = "\nassert 'json' in before or 'json' not in sys.modules, 'sqzkd imported json'"
+
+    def test_import_and_parser(self, tmp_path):
+        self.run_fresh(self.BEFORE + "import sqzkd.cli\nsqzkd.cli.build_parser()" + self.NO_JSON,
+                       tmp_path, ("numpy", "sqzkd.emulator"))
+
+    def test_help(self, tmp_path):
+        out = self.run_fresh(self.BEFORE + "from sqzkd.cli import main\n"
+                             "assert main(['--help']) == 0" + self.NO_JSON,
+                             tmp_path, ("numpy", "sqzkd.emulator"))
+        assert out.startswith("usage: sqzkd")
+
+    @pytest.mark.parametrize("command, absent", [
+        ("fig2", ("numpy", "sqzkd.emulator")),
+        ("fig3", ("numpy", "sqzkd.emulator")),
+        ("fig4", ("sqzkd.emulator",)),  # its eps > 0 series need numpy's eigh
+    ], ids=["fig2", "fig3", "fig4"])
+    def test_csv_figure(self, tmp_path, command, absent):
+        self.run_fresh(self.BEFORE + f"from sqzkd.cli import main\n"
+                       f"assert main([{command!r}, '--out', 'out.csv']) == 0" + self.NO_JSON,
+                       tmp_path, absent)
+        reference = self.ROOT / "bench" / "reference" / f"{command}.csv"
+        assert (tmp_path / "out.csv").read_bytes() == reference.read_bytes()
+
+    def test_validate(self, tmp_path):
+        (tmp_path / "vac.json").write_text("[[1, 0], [0, 1]]", encoding="utf-8")
+        code = "from sqzkd.cli import main\nassert main(['validate', 'vac.json']) == 0"
+        out = self.run_fresh(code, tmp_path, ("sqzkd.emulator",))
+        assert out.endswith("PASS: minimal symplectic eigenvalue 1 vs bound 0.999999999\n")
+
+
+class TestLazyEmulatorExports:
+    """The package's emulator names, read on first use, are the emulator's own."""
+
+    def test_exports_are_the_emulators(self):
+        from sqzkd import (EmulationConfig, ReconstructedCM, SampleBatch,
+                           expected_record_covariance, generate_calibrated_samples,
+                           generate_samples, reconstruct_covariance, security_from_data)
+        from sqzkd import emulator
+
+        exports = (EmulationConfig, ReconstructedCM, SampleBatch, expected_record_covariance,
+                   generate_calibrated_samples, generate_samples, reconstruct_covariance,
+                   security_from_data)
+        for export in exports:
+            assert export is getattr(emulator, export.__name__)
+
+    def test_unknown_attribute_raises(self):
+        import sqzkd
+
+        with pytest.raises(AttributeError, match="module 'sqzkd' has no attribute 'emulate'"):
+            sqzkd.emulate
+        with pytest.raises(ImportError):
+            from sqzkd import emulate  # noqa: F401
+
+    def test_defaults_keep_their_values(self, capsys):
+        from sqzkd import emulator
+
+        cfg = emulator.EmulationConfig(n_samples=2, seed=0)
+        assert (cfg.eta_bob_det, cfg.eta_eve_det) == (0.85, 0.95)
+        assert emulator.STATISTICAL_PHYSICALITY_TOL == gaussian.STATISTICAL_PHYSICALITY_TOL == 0.05
+        text = " ".join(run(capsys, "emulate", "--help")[1].split())
+        assert "receiver homodyne efficiency (default 0.85)" in text
+        assert "eavesdropper homodyne efficiency (default 0.95)" in text
+        text = " ".join(run(capsys, "validate", "--help")[1].split())
+        assert "use 0.05 for statistically reconstructed matrices" in text
