@@ -46,6 +46,7 @@ from .protocol import (
     holevo_eb,
     holevo_eb_series,
     key_rate_asymptotic,
+    key_rate_series,
     mutual_information_ab,
     mutual_information_ab_series,
     optimal_modulation,

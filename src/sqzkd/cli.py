@@ -37,8 +37,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .protocol import (DEFAULT_ETA_BOB_DET, DEFAULT_ETA_EVE_DET, ProtocolParams,
-                       decoupling_modulation, holevo_eb_series, mutual_information_ab_series,
-                       security_report)
+                       decoupling_modulation, holevo_eb_series, key_rate_series, security_report)
 
 COHERENT_REFERENCE_ETA = 0.58
 DEFAULT_SQUEEZING_SNU = 0.5
@@ -284,11 +283,7 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_fig3(args) -> int:
-    def key_rate(base, grid):  # beta * I_AB - chi_E, as key_rate_asymptotic computes it
-        chi = holevo_eb_series(base, grid)  # first: a failing grid raises what chi_E raises
-        return [args.beta * i - c for i, c in zip(mutual_information_ab_series(base, grid), chi)]
-
-    return _modulation_sweep(args, "key_rate_bits", key_rate, {"beta": args.beta})
+    return _modulation_sweep(args, "key_rate_bits", key_rate_series, {"beta": args.beta})
 
 
 def _finite_column(n_total: float) -> str:

@@ -34,10 +34,11 @@ from .protocol import (
     DEFAULT_ETA_EVE_DET,
     ProtocolParams,
     SecurityReport,
+    _correlation_leakage,
+    _report,
     environment_variance,
     holevo_from_cm,
     qmi_from_cm,
-    shannon_leakage,
 )
 
 # Indices of the recorded variables, the samples CSV's column order.
@@ -130,8 +131,11 @@ class SampleBatch:
         try:
             try:
                 for start, stop in zip(bounds[1:-1], bounds[2:]):
-                    fd, part = tempfile.mkstemp(prefix=".samples-", suffix=".part",
-                                                dir=directory)
+                    try:
+                        fd, part = tempfile.mkstemp(prefix=".samples-", suffix=".part",
+                                                    dir=directory)
+                    except OSError as exc:  # name the file asked for, not a part file
+                        raise OSError(exc.errno, exc.strerror, str(path)) from None
                     parts.append(part)
                     pids.append(_fork_writer(fd, self.records, start, stop))
                 with open(path, "w", encoding="ascii", newline="") as fh:
@@ -321,7 +325,8 @@ def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
 
     The model is zero-mean by construction, so moments are sums of products
     divided by n - 1 without mean subtraction.  Entry-wise standard errors
-    are the asymptotic Gaussian values sqrt((M_ii M_jj + M_ij^2) / n).
+    are the asymptotic Gaussian values sqrt((M_ii M_jj + M_ij^2) / n), written
+    as sqrt(M_ii) sqrt(M_jj) sqrt((1 + rho_ij^2) / n) to keep the moments' range.
     """
     n = batch.n_samples
     if n < 2:
@@ -337,7 +342,8 @@ def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
             "a covariance matrix needs positive diagonal entries"
         )
 
-    errors = np.sqrt((np.outer(diag, diag) + moments ** 2) / n)
+    scale = np.outer(np.sqrt(diag), np.sqrt(diag))
+    errors = scale * np.sqrt((1.0 + (moments / scale) ** 2) / n)
     return ReconstructedCM(moments=moments, n_samples=n, standard_errors=errors)
 
 
@@ -414,20 +420,8 @@ def security_from_data(recon: ReconstructedCM, beta: float,
             f"reconstructed matrix is statistically unphysical: {exc}") from None
 
     v_b = m[XB, XB] + v_n_trusted
-    v_b_given_a = v_b - m[XA, XB] ** 2 / m[XA, XA]
-    i_ab = 0.5 * math.log2(v_b / v_b_given_a)
-
     be = CovarianceMatrix(m[XB:, XB:])  # receiver mode, eavesdropper mode
-    chi = holevo_from_cm(be, v_n_trusted, tol)
-    c_eb = m[XE, XB] ** 2 / (m[XE, XE] * v_b)
-    c_ea = m[XA, XE] ** 2 / (m[XA, XA] * m[XE, XE])
-    return SecurityReport(
-        i_ab=i_ab,
-        chi_e=chi,
-        key_rate=beta * i_ab - chi,
-        c_eb=c_eb,
-        c_ea=c_ea,
-        i_eb_classical=shannon_leakage(c_eb),
-        i_ea_classical=shannon_leakage(c_ea),
-        qmi_eb=qmi_from_cm(be, tol),
-    )
+    return _report(beta, 0.5 * math.log2(v_b / (v_b - m[XA, XB] ** 2 / m[XA, XA])),
+                   holevo_from_cm(be, v_n_trusted, tol),
+                   _correlation_leakage(m[XE, XB], m[XE, XE], v_b),
+                   _correlation_leakage(m[XA, XE], m[XE, XE], m[XA, XA]), qmi_from_cm(be, tol))

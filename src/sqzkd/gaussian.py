@@ -206,9 +206,10 @@ def _condition_on_labels(moments: np.ndarray) -> np.ndarray:
         bad = variance[np.argmax(degenerate)]
         raise DegenerateMeasurementError(f"label variance {bad:.6g} is not positive")
     cross = moments[:, 1:, 0]
-    reduced = moments[:, 1:, 1:] \
-        - cross[:, :, np.newaxis] * cross[:, np.newaxis, :] / variance[:, np.newaxis, np.newaxis]
-    return _finite(0.5 * (reduced + reduced.transpose(0, 2, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite raises on every overflow
+        reduced = moments[:, 1:, 1:] - cross[:, :, np.newaxis] * cross[:, np.newaxis, :] \
+            / variance[:, np.newaxis, np.newaxis]
+        return _finite(0.5 * (reduced + reduced.transpose(0, 2, 1)))
 
 
 def db_to_snu(db: float) -> float:

@@ -384,9 +384,14 @@ def classical_leakage(p: ProtocolParams, party: str) -> tuple[float, float]:
         v_other = p.v_a
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    square = cov * cov
-    # a subnormal v_a underflows both the square and the denominator to 0
-    correlation = square / (v_e * v_other) if square else 0.0
+    return _correlation_leakage(cov, v_e, v_other)
+
+
+def _correlation_leakage(cross: float, var_e: float, var_other: float) -> tuple[float, float]:
+    """(C, shannon_leakage(C)) of C = cross^2 / (var_e var_other), the model's or the data's."""
+    square = cross * cross
+    # a subnormal v_a or moment underflows both the square and the denominator to 0
+    correlation = square / (var_e * var_other) if square else 0.0
     return correlation, shannon_leakage(correlation)
 
 
@@ -440,6 +445,16 @@ def key_rate_asymptotic(p: ProtocolParams) -> float:
     May be negative; the protocol is secure when the value is positive.
     """
     return p.beta * mutual_information_ab(p) - holevo_eb(p)
+
+
+def key_rate_series(p: ProtocolParams, v_a) -> list[float]:
+    """key_rate_asymptotic at each modulation of ``v_a``, the other parameters from ``p``.
+
+    Bit-identical to key_rate_asymptotic point by point.  chi_E is solved
+    first, so a failing grid raises what holevo_eb_series raises.
+    """
+    chi = holevo_eb_series(p, v_a)
+    return [p.beta * i_ab - c for i_ab, c in zip(mutual_information_ab_series(p, v_a), chi)]
 
 
 def decoupling_modulation(v_r: float) -> float:
@@ -523,9 +538,7 @@ def optimal_modulation(p: ProtocolParams, v_a_range: tuple[float, float],
     best = 0.5 * (a + b)  # returned as it is where no round runs
     while b - a > tol:
         points = np.linspace(w_a, w_b, _SEARCH_POINTS).tolist()
-        # beta * I_AB - chi_E, as key_rate_asymptotic computes it at each point
-        rates = [check(v_a, p.beta * i_ab - chi) for v_a, i_ab, chi in zip(
-            points, mutual_information_ab_series(p, points), holevo_eb_series(p, points))]
+        rates = list(map(check, points, key_rate_series(p, points)))
         k = rates.index(max(rates))
         best, h = points[k], (w_b - w_a) / last
         if 0 < k < last:
@@ -561,17 +574,11 @@ def security_report(p: ProtocolParams) -> SecurityReport:
     those functions raise first in field order.  With excess noise chi_E
     and the QMI share one cached solve of the point (see holevo_eb).
     """
-    i_ab = mutual_information_ab(p)
-    chi = holevo_eb(p)
-    c_eb, i_eb = classical_leakage(p, "B")
-    c_ea, i_ea = classical_leakage(p, "A")
-    return SecurityReport(
-        i_ab=i_ab,
-        chi_e=chi,
-        key_rate=p.beta * i_ab - chi,
-        c_eb=c_eb,
-        c_ea=c_ea,
-        i_eb_classical=i_eb,
-        i_ea_classical=i_ea,
-        qmi_eb=quantum_mutual_information_eb(p),
-    )
+    return _report(p.beta, mutual_information_ab(p), holevo_eb(p), classical_leakage(p, "B"),
+                   classical_leakage(p, "A"), quantum_mutual_information_eb(p))
+
+
+def _report(beta, i_ab, chi_e, leak_eb, leak_ea, qmi_eb) -> SecurityReport:
+    """The report of these values: key_rate = beta * i_ab - chi_e, each leak_* a (C, I) pair."""
+    (c_eb, i_eb), (c_ea, i_ea) = leak_eb, leak_ea
+    return SecurityReport(i_ab, chi_e, beta * i_ab - chi_e, c_eb, c_ea, i_eb, i_ea, qmi_eb)

@@ -591,7 +591,7 @@ class TestEmulate:
         assert len(lines) == 17
         assert lines[-1] == f"security evaluation skipped: {message}"
 
-    @pytest.mark.parametrize("va", ["1e-300", "1e-320"])
+    @pytest.mark.parametrize("va", ["1e-323"])
     def test_zero_standard_error_prints_a_nan_sigma(self, capsys, tmp_path, va):
         # x_a's squared samples underflow to 0, and so does the error bar of its variance
         code, out, _ = run(capsys, "emulate", "--va", va, "--n-samples", "100",
@@ -600,6 +600,22 @@ class TestEmulate:
         row = out.splitlines()[1]
         assert row.startswith("(0,0) ") and row.endswith(" nan")
         assert "error" in json.loads((tmp_path / "tiny_report.json").read_text(encoding="utf-8"))
+
+    def test_tiny_modulation_keeps_a_finite_sigma(self, capsys, tmp_path):
+        # x_a's variance is 1e-300: its error bar no longer squares it to 0
+        code, out, _ = run(capsys, "emulate", "--va", "1e-300", "--n-samples", "100",
+                           "--out", str(tmp_path / "tiny"))
+        assert code == 0
+        row = out.splitlines()[1].split()
+        assert row[0] == "(0,0)" and 0.0 < float(row[3]) and math.isfinite(float(row[4]))
+
+    def test_overflowing_moments_fail_without_a_warning(self, capsys, tmp_path):
+        # x_a's variance is 1e160: its error bar no longer overflows, and the
+        # conditioning on x_a raises; a RuntimeWarning would escape main here
+        code, out, err = run(capsys, "emulate", "--va", "1e160", "--n-samples", "100",
+                             "--out", str(tmp_path / "huge"))
+        assert (code, out) == (1, "")
+        assert err == "error: covariance matrix entries must be finite\n"
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -641,6 +657,13 @@ class TestValidate:
         assert code == 2
         assert "FAIL" in out
         assert "0.3" in out
+
+    def test_overflowing_label_fails_without_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([[1e160, 1e160, 0.0], [1e160, 1e160, 0.0], [0.0, 0.0, 1.0]]))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: covariance matrix entries must be finite\n"
 
     def test_reconstruction_output_with_statistical_tolerance(self, capsys, tmp_path):
         prefix = str(tmp_path / "run")

@@ -158,6 +158,16 @@ class TestReconstructCovariance:
         with pytest.raises(InsufficientDataError):
             reconstruct_covariance(short)
 
+    @pytest.mark.parametrize("factor", [1e-150, 1e150])
+    def test_error_bars_keep_the_moments_range(self, factor):
+        # (M_00^2 + M_00^2) / n underflowed to 0 at 1e-150 and overflowed at 1e150
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=1000, seed=12))
+        scaled = batch.records.copy()
+        scaled[emulator.XA] *= factor
+        base = reconstruct_covariance(batch).standard_errors[0, 0]
+        got = reconstruct_covariance(replace(batch, records=scaled)).standard_errors[0, 0]
+        assert abs(got / (base * factor ** 2) - 1.0) <= 1e-12
+
     def test_error_bands_shrink_as_sqrt_n(self):
         spreads = {}
         for n in (10_000, 1_000_000):
@@ -374,6 +384,40 @@ class TestSecurityFromData:
             security_from_data(recon, 0.95, v_n_trusted=v_n)
 
 
+class TestDataBitPins:
+    """float.hex of security_from_data's eight fields, recorded before the report had one builder.
+
+    Two exact-moment reconstructions, one with trusted electronic noise and
+    one with the default detectors and excess noise, and one sampled as
+    ``sqzkd emulate --va 1 --eta 0.58 --n-samples 20000 --seed 7`` samples it.
+    """
+
+    CASES = [
+        pytest.param(lambda: exact_reconstruction(
+            ProtocolParams(v_r=0.5, v_a=0.9, eta=0.58), ideal_config(1000, seed=0)), 0.9, 0.3,
+            ["0x1.33be44989dea0p-2", "0x1.5d263db3e4380p-6", "0x1.fe4b4d5c39516p-3",
+             "0x1.64dfe39436635p-6", "0x1.4b65b2d96cb65p-2", "0x1.04469016c6a99p-6",
+             "0x1.20d3c66d2cc30p-2", "0x1.3d4efdba08770p-2"], id="trusted-noise"),
+        pytest.param(lambda: exact_reconstruction(
+            ProtocolParams(v_r=0.5, v_a=1.3, eta=0.4, delta_v=0.5, epsilon=0.035),
+            EmulationConfig(n_samples=1000, seed=0)), 0.95, 0.0,
+            ["0x1.37b636987e6c2p-2", "0x1.ba15a72d18840p-5", "0x1.e1bb312343ac6p-3",
+             "0x1.fd31ce8c7e4a4p-5", "0x1.02fe8536b329fp-1", "0x1.7b37c8777fa36p-5",
+             "0x1.04585f862398dp-1", "0x1.779e0837d742cp-2"], id="excess-noise"),
+        pytest.param(lambda: reconstruct_covariance(generate_calibrated_samples(
+            ProtocolParams(v_r=0.5, v_a=1.0, eta=0.58, beta=0.95),
+            EmulationConfig(n_samples=20_000, seed=7))), 0.95, 0.0,
+            ["0x1.721ab5f6384ccp-2", "0x1.180d65bc14a00p-5", "0x1.3c97b358cc81bp-2",
+             "0x1.19786b2863f63p-5", "0x1.5940ea7391245p-2", "0x1.9d37577dcbbe7p-6",
+             "0x1.2fc13b7edd09cp-2", "0x1.055d10961c6b8p-2"], id="sampled"),
+    ]
+
+    @pytest.mark.parametrize("reconstruction, beta, v_n, pinned", CASES)
+    def test_report_bits(self, reconstruction, beta, v_n, pinned):
+        report = security_from_data(reconstruction(), beta, v_n_trusted=v_n)
+        assert [float(v).hex() for v in report.as_dict().values()] == pinned
+
+
 class TestCsvExport:
     def test_header_and_shape(self, tmp_path):
         batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=50, seed=19))
@@ -564,6 +608,18 @@ class TestForkedCsvWriters:
         assert excinfo.value.errno == errno.EAGAIN
         assert path.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["batch.csv"]
+
+    def test_missing_directory_is_named_as_the_file_asked_for(self, three_writers, tmp_path):
+        # the first part file cannot be made; the error names path, not the part
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
+                                                            seed=23))
+        path = tmp_path / "missing" / "batch.csv"
+        with pytest.raises(OSError) as excinfo:
+            batch.write_csv(path)
+        assert excinfo.value.errno == errno.ENOENT
+        assert excinfo.value.filename == str(path)
+        assert three_writers == []
+        assert os.listdir(tmp_path) == []
 
     def test_no_fork_while_a_thread_runs(self, three_writers, tmp_path, monkeypatch):
         def no_fork():

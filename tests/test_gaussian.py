@@ -356,6 +356,13 @@ class TestConditionOnLabel:
         with pytest.raises(ValueError, match="symmetric"):
             condition_on_label(matrix)
 
+    def test_overflowing_conditioning_raises_without_a_warning(self):
+        # m[1:, 0] m[1:, 0]^T / m[0, 0] overflows before the division; a
+        # RuntimeWarning is an error under the test configuration
+        moments = [[1e160, 1e160, 0.0], [1e160, 1e160 + 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="^covariance matrix entries must be finite$"):
+            condition_on_label(moments)
+
 
 class TestDecibels:
     def test_zero_db(self):

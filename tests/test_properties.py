@@ -39,6 +39,8 @@ from sqzkd.protocol import (
     holevo_eb,
     holevo_eb_series,
     holevo_from_cm,
+    key_rate_asymptotic,
+    key_rate_series,
     mutual_information_ab,
     mutual_information_ab_series,
     optimal_modulation,
@@ -251,6 +253,20 @@ def test_region_thresholds_equal_beta_threshold_bit_for_bit(v_r, eta, delta_v, v
             expected = math.inf
         assert point.beta_star.hex() == expected.hex()
         assert point.secure == (point.beta_star < 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(v_r=v_r_values, eta=eta_values, delta_v=delta_v_values, v_n=v_n_values,
+       epsilon=epsilon_values, beta=st.floats(0.0, 1.0, exclude_min=True), grid=v_a_series)
+@example(v_r=0.5, eta=0.5, delta_v=0.3, v_n=0.1, epsilon=0.0, beta=0.95, grid=[0.0, 0.5, 2.0])
+@example(v_r=0.5, eta=0.5, delta_v=0.3, v_n=0.1, epsilon=0.05, beta=0.95, grid=[0.0, 0.5, 2.0])
+def test_key_rate_series_equals_the_scalar_bit_for_bit(v_r, eta, delta_v, v_n, epsilon, beta,
+                                                      grid):
+    p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon,
+                       beta=beta)
+    rates = key_rate_series(p, grid)
+    assert [rate.hex() for rate in rates] == \
+        [key_rate_asymptotic(replace(p, v_a=v_a)).hex() for v_a in grid]
 
 
 @PROPERTY_SETTINGS

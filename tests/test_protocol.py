@@ -41,6 +41,7 @@ from sqzkd.protocol import (
     holevo_eb_series,
     holevo_from_cm,
     key_rate_asymptotic,
+    key_rate_series,
     mutual_information_ab,
     mutual_information_ab_series,
     optimal_modulation,
@@ -1023,4 +1024,32 @@ class TestSeriesInputs:
             float(element)
         with pytest.raises(expected.type) as raised:
             solve(self.PARAMS["lossy"], [0.5, element])
+        assert str(raised.value) == str(expected.value)
+
+
+class TestKeyRateSeries:
+    @pytest.mark.parametrize("params", TestSeriesInputs.PARAMS)
+    @pytest.mark.parametrize("v_a", [
+        [[0.5, 1.0], [2.0, 3.0]], np.array([[0.5], [1.0]]), 0.5, np.float64(0.5), "123",
+        [0.5, -0.5, 1.0], [0.5, math.nan], np.array([0.5, -math.inf]), [[0.5, 1.0], [2.0]],
+        [0.5, None], [0.5, 1j],
+    ], ids=["list-2d", "ndarray-column", "scalar", "numpy-scalar", "text", "negative", "nan",
+            "ndarray-minus-inf", "ragged", "none", "complex"])
+    def test_invalid_grid_raises_as_holevo_eb_series(self, v_a, params):
+        p = TestSeriesInputs.PARAMS[params]
+        with pytest.raises(Exception) as expected:
+            holevo_eb_series(p, v_a)
+        with pytest.raises(Exception) as raised:
+            key_rate_series(p, v_a)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_failing_point_raises_as_holevo_eb_series(self, epsilon):
+        # beside v_n = 1e200, chi_E overflows at v_a = 1e200 but not at 0.5
+        p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5, epsilon=epsilon, v_n=1e200)
+        with pytest.raises(ValueError) as expected:
+            holevo_eb_series(p, [0.5, 1e200, 2.0])
+        with pytest.raises(ValueError) as raised:
+            key_rate_series(p, [0.5, 1e200, 2.0])
         assert str(raised.value) == str(expected.value)
