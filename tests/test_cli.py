@@ -591,19 +591,19 @@ class TestEmulate:
         assert len(lines) == 17
         assert lines[-1] == f"security evaluation skipped: {message}"
 
-    @pytest.mark.parametrize("va", ["1e-323"])
-    def test_zero_standard_error_prints_a_nan_sigma(self, capsys, tmp_path, va):
+    def test_underflowing_standard_error_prints_a_nan_sigma(self, capsys, tmp_path):
         # x_a's squared samples underflow to 0, and so does the error bar of its variance
-        code, out, _ = run(capsys, "emulate", "--va", va, "--n-samples", "100",
+        code, out, _ = run(capsys, "emulate", "--va", "1e-323", "--n-samples", "100",
                            "--out", str(tmp_path / "tiny"))
         assert code == 0
         row = out.splitlines()[1]
         assert row.startswith("(0,0) ") and row.endswith(" nan")
         assert "error" in json.loads((tmp_path / "tiny_report.json").read_text(encoding="utf-8"))
 
-    def test_tiny_modulation_keeps_a_finite_sigma(self, capsys, tmp_path):
-        # x_a's variance is 1e-300: its error bar no longer squares it to 0
-        code, out, _ = run(capsys, "emulate", "--va", "1e-300", "--n-samples", "100",
+    @pytest.mark.parametrize("va", ["1e-300", "1e-320"])
+    def test_tiny_modulation_keeps_a_finite_sigma(self, capsys, tmp_path, va):
+        # x_a's variance is tiny: its error bar no longer squares it to 0
+        code, out, _ = run(capsys, "emulate", "--va", va, "--n-samples", "100",
                            "--out", str(tmp_path / "tiny"))
         assert code == 0
         row = out.splitlines()[1].split()
