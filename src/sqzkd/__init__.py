@@ -17,7 +17,6 @@ from .errors import (
     DegenerateMeasurementError,
     InsufficientDataError,
     SymplecticPairingError,
-    ThresholdUndefinedError,
     UnphysicalStateError,
 )
 from .finite_size import (

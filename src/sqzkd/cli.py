@@ -154,7 +154,7 @@ def _read_json(path: str):
 
 
 def _protocol_from(args) -> ProtocolParams:
-    v_a = args.va if args.va is not None else decoupling_modulation(min(args.vr, 1.0))
+    v_a = args.va if args.va is not None else decoupling_modulation(args.vr)
     return ProtocolParams(v_r=args.vr, v_a=v_a, eta=args.eta, delta_v=args.dv,
                           epsilon=args.eps, v_n=args.vn, beta=args.beta)
 
@@ -332,11 +332,25 @@ def cmd_emulate(args) -> int:
 
     normalized = generate_calibrated_samples(params, cfg)
     recon = reconstruct_covariance(normalized)
+    expected = expected_record_covariance(params, cfg)
+    try:  # evaluated before any file is written, so that a run that raises writes none
+        report = security_from_data(recon, params.beta, v_n_trusted=0.0)
+    except UnphysicalStateError as exc:
+        report_text = json.dumps({"error": str(exc)}, indent=2)
+        comparison = [f"security evaluation skipped: {exc}"]
+    else:
+        exact = ReconstructedCM(moments=expected, n_samples=cfg.n_samples,
+                                standard_errors=np.zeros_like(expected))
+        analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
+        report_text = report.to_json() + "\n"
+        comparison = ["", "quantity        data          model"]
+        comparison += [f"{key:15s} {value:13.6g} {getattr(analytic, key):13.6g}"
+                       for key, value in report.as_dict().items()]
 
     normalized.write_csv(f"{args.out}_samples.csv")
     _write_text(f"{args.out}_reconstruction.json", json.dumps(recon.to_json_dict(), indent=2))
+    _write_text(f"{args.out}_report.json", report_text)
 
-    expected = expected_record_covariance(params, cfg)
     upper = np.triu_indices(5)
     data, model, err = recon.moments[upper], expected[upper], recon.standard_errors[upper]
     gap = np.abs(data - model)  # a cell whose error bar is 0 gets a nan sigma, and no warning
@@ -344,27 +358,12 @@ def cmd_emulate(args) -> int:
     lines = ["entry        data          expected      std_err       sigma"]
     lines += [f"({i},{j})    {d:13.6g} {e:13.6g} {s:13.6g} {g:9.3f}"
               for i, j, d, e, s, g in zip(*upper, data, model, err, sigma)]
-
-    report_path = f"{args.out}_report.json"
-    try:
-        report = security_from_data(recon, params.beta, v_n_trusted=0.0)
-    except UnphysicalStateError as exc:
-        _write_text(report_path, json.dumps({"error": str(exc)}, indent=2))
-        lines.append(f"security evaluation skipped: {exc}")
-    else:
-        _write_text(report_path, report.to_json() + "\n")
-        exact = ReconstructedCM(moments=expected, n_samples=cfg.n_samples,
-                                standard_errors=np.zeros_like(expected))
-        analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
-        lines.append("")
-        lines.append("quantity        data          model")
-        for key, value in report.as_dict().items():
-            lines.append(f"{key:15s} {value:13.6g} {getattr(analytic, key):13.6g}")
-    _write_text(None, "\n".join(lines) + "\n")
+    _write_text(None, "\n".join(lines + comparison) + "\n")
     return 0
 
 
 def cmd_validate(args) -> int:
+    import json
     payload = _read_json(args.matrix)
     if isinstance(payload, dict):
         raw = payload.get("matrix")
@@ -376,6 +375,11 @@ def cmd_validate(args) -> int:
         matrix = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged, or an entry that is no number
         raise ValueError(f"{args.matrix}: {exc}") from None
+    # float() also takes "1" and true; a --config number flag takes neither
+    for entry in np.asarray(raw, dtype=object).ravel():
+        if not _is_number(entry):
+            raise ValueError(f"{args.matrix}: matrix entries must be numbers, "
+                             f"got {json.dumps(entry)}")
     if matrix.ndim == 2 and len(matrix) % 2 == 1:  # a label row, then modes
         cm = condition_on_label(matrix)
     else:

@@ -15,7 +15,3 @@ class DegenerateMeasurementError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few samples to form a covariance estimate."""
-
-
-class ThresholdUndefinedError(ValueError):
-    """Efficiency threshold undefined because the Shannon information is zero."""

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ThresholdUndefinedError
 from .protocol import (
     ProtocolParams,
     holevo_eb,
@@ -89,15 +88,11 @@ def beta_threshold(p: ProtocolParams, fp: FiniteSizeParams | None = None) -> flo
     """Smallest reconciliation efficiency giving a positive key rate.
 
     chi_E / I_AB asymptotically, (chi_E + Delta) / I_AB at finite size.  A
-    value above 1 means the protocol is insecure at any efficiency; when
-    I_AB is zero the threshold is undefined and an error is raised.
+    value above 1 means the protocol is insecure at any efficiency, and so
+    does inf, the value where I_AB is zero.
     """
-    chi_e, i_ab = holevo_eb(p), mutual_information_ab(p)
-    if i_ab <= 0.0:
-        raise ThresholdUndefinedError(
-            "efficiency threshold undefined: Shannon information I_AB is zero"
-        )
-    return _threshold(chi_e, i_ab, delta_correction(fp) if fp is not None else 0.0)
+    return _threshold(holevo_eb(p), mutual_information_ab(p),
+                      delta_correction(fp) if fp is not None else 0.0)
 
 
 class RegionPoint(NamedTuple):
@@ -114,10 +109,9 @@ def security_region(p_base: ProtocolParams, v_a_grid,
                     fp: FiniteSizeParams | None = None) -> list[RegionPoint]:
     """Efficiency threshold along a modulation grid.
 
-    Points where the threshold is undefined (no modulation, hence no Shannon
-    information) are reported with beta_star = inf and marked insecure at any
-    efficiency.  A point is secure when some beta in (0, 1] beats the
-    threshold, i.e. beta_star < 1.
+    Each beta_star is beta_threshold's, inf where there is no modulation,
+    hence no Shannon information.  A point is secure when some beta in
+    (0, 1] beats the threshold, i.e. beta_star < 1.
 
     The grid is solved as holevo_eb_series and mutual_information_ab_series,
     bit-identical to each point alone and raising as its first failing point.

@@ -72,12 +72,8 @@ class ProtocolParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.v_r <= 1.0:
-            raise ValueError(f"v_r must lie in (0, 1], got {self.v_r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        for name in ("v_r", "eta", "beta"):
+            _in_unit_interval(name, getattr(self, name))
         for name in ("v_a", "delta_v", "epsilon", "v_n"):
             value = getattr(self, name)
             if value < 0.0 or not math.isfinite(value):
@@ -91,9 +87,18 @@ class ProtocolParams:
         return replace(self, v_a=v_a)
 
 
-def _series(p: ProtocolParams, v_a, solve, alone):
+def _in_unit_interval(name: str, value: float) -> float:
+    """``value``, or ValueError naming ``name`` where it lies outside (0, 1] or is NaN."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    return value
+
+
+def _series(p: ProtocolParams, v_a, solve):
     """``solve(p, values)`` of ``v_a`` as a list of floats, raising as its first failing point.
 
+    A failing grid is solved again one point at a time, as ``solve(replace(p,
+    v_a=value), [value])``: that raises ProtocolParams' error, then the scalar's.
     Checked in Python; numpy loads only to tell the shape of an input float rejects.
     """
     try:  # tolist gives an array of more than one dimension as lists, which float rejects
@@ -110,7 +115,7 @@ def _series(p: ProtocolParams, v_a, solve, alone):
         return solve(p, values)
     except (ValueError, RuntimeError):
         for value in values:  # raise what the first failing point raises alone
-            alone(replace(p, v_a=value))
+            solve(replace(p, v_a=value), [value])
         raise
 
 
@@ -224,7 +229,7 @@ def mutual_information_ab_series(p: ProtocolParams, v_a) -> list[float]:
 
     Bit-identical to mutual_information_ab point by point.
     """
-    return [0.5 * math.log2(ratio) for ratio in _series(p, v_a, _snr_ratio, mutual_information_ab)]
+    return [0.5 * math.log2(ratio) for ratio in _series(p, v_a, _snr_ratio)]
 
 
 def _snr_ratio(p: ProtocolParams, v_a: list[float]) -> list[float]:
@@ -300,7 +305,7 @@ def holevo_eb(p: ProtocolParams) -> float:
     overflows double precision.
     """
     if p.epsilon == 0.0:
-        return _lossy_holevo(*_lossy_determinants(p, [p.v_a]))[0]
+        return _holevo_stacked(p, [p.v_a])[0]
     return _noisy_holevo(p)[0]
 
 
@@ -322,7 +327,7 @@ def holevo_eb_series(p: ProtocolParams, v_a) -> list[float]:
     Python floats, and with excess noise one stacked eigen-solve per entropy
     serves every joint state.
     """
-    return _series(p, v_a, _holevo_stacked, holevo_eb)
+    return _series(p, v_a, _holevo_stacked)
 
 
 def _holevo_stacked(p: ProtocolParams, v_a: list[float]) -> list[float]:
@@ -459,13 +464,7 @@ def key_rate_series(p: ProtocolParams, v_a) -> list[float]:
 
 def decoupling_modulation(v_r: float) -> float:
     """Modulation variance that decouples the eavesdropper in a lossy channel: 1 - v_r."""
-    if not v_r > 0.0:  # NaN too
-        raise ValueError(f"squeezed variance v_r must be positive, got {v_r}")
-    if v_r > 1.0:
-        raise ValueError(
-            f"no non-negative decoupling modulation exists for v_r = {v_r} > 1"
-        )
-    return 1.0 - v_r
+    return 1.0 - _in_unit_interval("v_r", v_r)
 
 
 # Grid points per round of optimal_modulation.  With excess noise a round

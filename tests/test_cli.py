@@ -15,7 +15,6 @@ import pytest
 
 from sqzkd import cli, finite_size, gaussian, protocol
 from sqzkd.cli import _db_grid, _format_cell, main
-from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold
 from sqzkd.gaussian import (
     LARGE_NU,
@@ -73,6 +72,14 @@ class TestReport:
         code, _, err = run(capsys, "report", "--eta", "1.5")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("v_r", ["0", "1.5", "nan"])
+    def test_squeezed_variance_outside_its_range_has_one_message(self, capsys, v_r):
+        # the decoupling default, ProtocolParams and a sweep's squeezing check v_r alike
+        line = f"error: v_r must lie in (0, 1], got {float(v_r)}\n"
+        for argv in (["report", "--vr", v_r], ["report", "--vr", v_r, "--va", "1"],
+                     ["fig2", "--squeezing", v_r]):
+            assert run(capsys, *argv) == (1, "", line), argv
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -283,10 +290,7 @@ def _record_calls(monkeypatch, names):
 
 
 def _expected_threshold_cell(point, fp):
-    try:
-        return _format_cell(beta_threshold(point, fp))
-    except ThresholdUndefinedError:
-        return _format_cell(math.inf)
+    return _format_cell(beta_threshold(point, fp))
 
 
 class TestFig4OneSolvePerPoint:
@@ -616,6 +620,8 @@ class TestEmulate:
                              "--out", str(tmp_path / "huge"))
         assert (code, out) == (1, "")
         assert err == "error: covariance matrix entries must be finite\n"
+        # the evaluation runs before any file is written
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -724,6 +730,18 @@ class TestValidate:
         variance = 1.0 if code == 0 else 0.0005
         path.write_text(json.dumps([[variance, 0.0], [0.0, variance]]))
         assert run(capsys, "validate", str(path), "--tol", tol)[0] == code
+
+    @pytest.mark.parametrize("text, entry", [
+        ('[[1, 0], [0, "1"]]', '"1"'),
+        ('{"matrix": [[true, 0], [0, 1]]}', "true"),
+    ], ids=["string", "boolean"])
+    def test_entries_must_be_json_numbers(self, capsys, tmp_path, text, entry):
+        # float() converts both, and each matrix printed PASS
+        path = tmp_path / "cm.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: matrix entries must be numbers, got {entry}\n"
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -1152,6 +1170,19 @@ class TestFailingSweep:
             finite_size.security_region(*regions[-1])
         assert err == f"error: {solved.value}\n"
         assert err.startswith("error: symplectic eigenvalue ")
+
+    def test_failing_grid_is_solved_again_without_the_scalar_forms(self, capsys, monkeypatch):
+        # the series find the first failing point with their own one-point solve
+        argv = ["fig4", "--eta", "0.999999", "--eps", "0.035"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: symplectic eigenvalue ")
+
+        def scalar(p):
+            raise AssertionError(f"scalar form called at {p}")
+
+        monkeypatch.setattr(protocol, "holevo_eb", scalar)
+        monkeypatch.setattr(protocol, "mutual_information_ab", scalar)
+        assert run(capsys, *argv) == (code, out, err)
 
 
 class TestOneGridLoop:

@@ -29,7 +29,7 @@ from sqzkd.emulator import (
     security_from_data,
 )
 from sqzkd.errors import InsufficientDataError, UnphysicalStateError
-from sqzkd.protocol import ProtocolParams, security_report
+from sqzkd.protocol import ProtocolParams, holevo_eb, security_report
 
 DECOUPLED = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.58)
 
@@ -314,6 +314,19 @@ class TestSecurityFromData:
         mean = float(np.mean(estimates))
         sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
         assert abs(mean - analytic) <= 3 * sem
+
+    # bench/test_smoke.py's NoisyPipeline configuration, from exact moments
+    # with no sampling: the data chi_E reads 0.000589 bits against the model's
+    # 0.0968, and the data key rate +0.191 against +0.095.  Strict: once the
+    # emulator records both of the eavesdropper's modes and calibrates at
+    # epsilon = 0, this passes and fails the suite.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known emulator defect: data chi_E far below the model "
+                              "with excess noise")
+    def test_exact_noisy_moments_keep_the_model_holevo_bound(self):
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05, beta=0.95)
+        report = security_from_data(exact_reconstruction(p, ideal_config(1000, seed=0)), p.beta)
+        assert report.chi_e >= holevo_eb(p) - 1e-9
 
     def test_detector_losses_embedded_not_corrected(self):
         p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.7)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sqzkd.errors import ThresholdUndefinedError, UnphysicalStateError
+from sqzkd.errors import UnphysicalStateError
 from sqzkd.finite_size import (
     FiniteSizeParams,
     beta_threshold,
@@ -120,9 +120,10 @@ class TestBetaThreshold:
         assert beta_threshold(p) > 1.0
 
     def test_undefined_without_modulation(self):
+        # no modulation, no Shannon information: inf, as security_region and fig4 give it
         p = ProtocolParams(v_r=0.5, v_a=0.0, eta=0.5)
-        with pytest.raises(ThresholdUndefinedError):
-            beta_threshold(p)
+        assert beta_threshold(p) == math.inf
+        assert beta_threshold(p).hex() == security_region(p, [0.0])[0].beta_star.hex()
 
     def test_threshold_consistency(self):
         p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.5)

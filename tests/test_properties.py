@@ -23,7 +23,6 @@ from sqzkd.emulator import (
     expected_record_covariance,
     security_from_data,
 )
-from sqzkd.errors import ThresholdUndefinedError
 from sqzkd.finite_size import FiniteSizeParams, beta_threshold, security_region
 from sqzkd.gaussian import (
     CovarianceMatrix,
@@ -247,11 +246,7 @@ def test_region_thresholds_equal_beta_threshold_bit_for_bit(v_r, eta, delta_v, v
     # security_region computes Delta once per grid, not once per point
     p = ProtocolParams(v_r=v_r, v_a=1.0, eta=eta, delta_v=delta_v, v_n=v_n, epsilon=epsilon)
     for v_a, point in zip(grid, security_region(p, grid, fp), strict=True):
-        try:
-            expected = beta_threshold(replace(p, v_a=v_a), fp)
-        except ThresholdUndefinedError:  # I_AB is 0
-            expected = math.inf
-        assert point.beta_star.hex() == expected.hex()
+        assert point.beta_star.hex() == beta_threshold(replace(p, v_a=v_a), fp).hex()
         assert point.secure == (point.beta_star < 1.0)
 
 

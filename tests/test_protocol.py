@@ -614,6 +614,14 @@ class TestDecouplingModulation:
         with pytest.raises(ValueError, match="v_r"):
             decoupling_modulation(math.nan)
 
+    @pytest.mark.parametrize("v_r", [0.0, -0.5, 1.5, math.inf, math.nan])
+    def test_rejects_as_protocol_params_does(self, v_r):
+        with pytest.raises(ValueError) as params:
+            ProtocolParams(v_r=v_r, v_a=0.5, eta=0.5)
+        with pytest.raises(ValueError) as decoupling:
+            decoupling_modulation(v_r)
+        assert str(decoupling.value) == str(params.value) == f"v_r must lie in (0, 1], got {v_r}"
+
 
 class TestOptimalModulation:
     def test_vanishing_efficiency_pins_optimum_to_decoupling(self):
