@@ -364,13 +364,13 @@ def cmd_emulate(args) -> int:
 
 def cmd_validate(args) -> int:
     import json
-    payload = _read_json(args.matrix)
-    if isinstance(payload, dict):
-        raw = payload.get("matrix")
-        if raw is None:
+    raw = _read_json(args.matrix)
+    if isinstance(raw, dict):
+        if "matrix" not in raw:
             raise ValueError(f"{args.matrix}: no 'matrix' key in JSON object")
-    else:
-        raw = payload
+        raw = raw["matrix"]
+    if raw is None:
+        raise ValueError(f"{args.matrix}: the matrix is null")
     try:
         matrix = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged, or an entry that is no number

@@ -138,9 +138,9 @@ class SampleBatch:
                         raise OSError(exc.errno, exc.strerror, str(path)) from None
                     parts.append(part)
                     pids.append(_fork_writer(fd, self.records, start, stop))
-                with open(path, "w", encoding="ascii", newline="") as fh:
+                with open(path, "wb") as fh:
                     partial = True  # until the parts are appended, path is incomplete
-                    fh.write(",".join(self.CSV_COLUMNS) + "\n")
+                    fh.write((",".join(self.CSV_COLUMNS) + "\n").encode("ascii"))
                     _write_rows(fh, self.records, bounds[0], bounds[1])
             finally:
                 codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
@@ -177,7 +177,7 @@ def _writer_bounds(n_rows: int) -> list[int]:
 
 def _write_rows(fh, records, start: int, stop: int) -> None:
     """Format records [start, stop) of the (5, n) ``records`` into ``fh``, one ``%`` per block."""
-    row_fmt = ",".join(["%.12g"] * len(records)) + "\n"
+    row_fmt = b",".join([b"%.12g"] * len(records)) + b"\n"
     for lo in range(start, stop, _CSV_BLOCK_ROWS):
         block = records[:, lo:min(lo + _CSV_BLOCK_ROWS, stop)].T
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
@@ -209,7 +209,7 @@ def _fork_writer(fd: int, records, start: int, stop: int) -> int:
     if pid == 0:
         status = _WRITER_FAILED
         try:
-            with open(fd, "w", encoding="ascii", newline="") as fh:
+            with open(fd, "wb") as fh:
                 _write_rows(fh, records, start, stop)
             status = 0
         except BaseException as exc:
@@ -258,18 +258,18 @@ class ReconstructedCM:
         }
 
 
-def _records(p: ProtocolParams, cfg: EmulationConfig, draw):
-    """The five recorded variables as linear maps of independent Gaussian draws.
+def _records(p: ProtocolParams, cfg: EmulationConfig, draw, out) -> None:
+    """Write the five recorded variables, linear maps of independent Gaussian draws, into ``out``.
 
-    The single description of the channel and detector optics.  ``draw(sd)``
-    returns one latent variable of standard deviation ``sd``; the records are
-    built from at most ten of them, drawn in this order: the alphabet value
-    x_a ~ N(0, v_a), the source quadratures x_r ~ N(0, v_r) and
-    p_r ~ N(0, 1/v_r + delta_v), the environment mode's two quadratures
-    (vacuum, or the eavesdropper's injected arm of variance W for excess
-    noise), one vacuum mode per imperfect detector and, when v_n > 0, the
-    electronic noise x_n ~ N(0, v_n).  The channel mixes signal and
-    environment as
+    The single description of the channel and detector optics.  ``draw(sd,
+    row)`` fills ``row`` with one latent variable of standard deviation
+    ``sd``; the records are built from at most ten of them, drawn in this
+    order: the alphabet value x_a ~ N(0, v_a), the source quadratures
+    x_r ~ N(0, v_r) and p_r ~ N(0, 1/v_r + delta_v), the environment mode's
+    two quadratures (vacuum, or the eavesdropper's injected arm of variance W
+    for excess noise), one vacuum mode per imperfect detector and, when
+    v_n > 0, the electronic noise x_n ~ N(0, v_n).  The channel mixes signal
+    and environment as
 
         x_b = sqrt(eta) (x_a + x_r) - sqrt(1-eta) e_x
         x_e = sqrt(1-eta) (x_a + x_r) + sqrt(eta) e_x
@@ -278,46 +278,48 @@ def _records(p: ProtocolParams, cfg: EmulationConfig, draw):
     quadrature is attenuated by its homodyne efficiency with vacuum making up
     the balance, and x_n is added to the receiver's X record.
 
-    Returns (x_a, x_b, p_b, x_e, p_e) in the samples CSV's column order.
+    The rows of the (5, m) ``out`` receive x_a, x_b, p_b, x_e, p_e in place,
+    by the float operations above in their order; x_b and p_b hold x_r and
+    p_r until the channel mixes them, and two scratch rows the other draws.
     """
-    x_a = draw(math.sqrt(p.v_a))
-    x_r = draw(math.sqrt(p.v_r))
-    p_r = draw(math.sqrt(p.anti_squeezed_variance))
+    x_a, x_b, p_b, x_e, p_e = out
+    e, f = np.empty((2, out.shape[1]))
     w = environment_variance(p)
-    e_x = draw(math.sqrt(w))
-    e_p = draw(math.sqrt(w))
+    for var, row in zip((p.v_a, p.v_r, p.anti_squeezed_variance, w, w), (x_a, x_b, p_b, e, f)):
+        draw(math.sqrt(var), row)
 
     se, sr = math.sqrt(p.eta), math.sqrt(1.0 - p.eta)
-    sig_x = x_a + x_r
-    x_b = se * sig_x - sr * e_x
-    p_b = se * p_r - sr * e_p
-    x_e = sr * sig_x + se * e_x
-    p_e = sr * p_r + se * e_p
+    x_b += x_a  # x_a + x_r: IEEE addition commutes
+    for sig, env, eve, tmp in ((x_b, e, x_e, p_e), (p_b, f, p_e, e)):
+        np.multiply(sig, sr, out=eve)
+        eve += np.multiply(env, se, out=tmp)
+        sig *= se
+        env *= sr
+        sig -= env
 
-    eta_b, eta_e = cfg.detector_efficiencies()
-    if eta_b < 1.0:
-        tb, rb = math.sqrt(eta_b), math.sqrt(1.0 - eta_b)
-        x_b = tb * x_b + rb * draw(1.0)
-        p_b = tb * p_b + rb * draw(1.0)
-    if eta_e < 1.0:
-        te, re = math.sqrt(eta_e), math.sqrt(1.0 - eta_e)
-        x_e = te * x_e + re * draw(1.0)
-        p_e = te * p_e + re * draw(1.0)
+    for eta, rows in zip(cfg.detector_efficiencies(), ((x_b, p_b), (x_e, p_e))):
+        if eta < 1.0:
+            t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+            for row in rows:
+                row *= t
+                draw(1.0, e)
+                row += np.multiply(e, r, out=e)
 
     if p.v_n > 0.0:
-        x_b = x_b + draw(math.sqrt(p.v_n))
-    return x_a, x_b, p_b, x_e, p_e
+        draw(math.sqrt(p.v_n), e)
+        x_b += e
 
 
 def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     """Draw one batch of records through the channel and detector model of _records."""
-    return SampleBatch(np.array(_draw_records(p, cfg)), p, cfg)
+    return SampleBatch(_draw_records(p, cfg, np.empty((5, cfg.n_samples))), p, cfg)
 
 
-def _draw_records(p: ProtocolParams, cfg: EmulationConfig):
-    """The five rows of _records, drawn from the Philox stream keyed by cfg.seed."""
+def _draw_records(p: ProtocolParams, cfg: EmulationConfig, out):
+    """Fill ``out`` in place with _records' rows from the Philox stream keyed by cfg.seed."""
     rng = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
-    return _records(p, cfg, lambda sd: rng.standard_normal(cfg.n_samples) * sd)
+    _records(p, cfg, lambda sd, row: np.multiply(rng.standard_normal(out=row), sd, out=row), out)
+    return out
 
 
 def reconstruct_covariance(batch: SampleBatch) -> ReconstructedCM:
@@ -351,16 +353,17 @@ def generate_calibrated_samples(p: ProtocolParams, cfg: EmulationConfig) -> Samp
     """generate_samples normalized to shot noise by a vacuum calibration run.
 
     The calibration (v_a = 0, v_r = 1, delta_v = 0, seed + 1 mod 2**64) is
-    drawn first, row by row, and reduced to its four scales before the
-    signal batch is drawn and divided in place, so the two are never held
-    together.  Each has its own Philox key, so the records do not depend on
-    which is drawn first.
+    drawn first into one (5, n) array and reduced to its four scales; the
+    signal batch is then drawn into the same array and divided in place, so
+    the two runs share one array and its two scratch rows.  Each has its own
+    Philox key, so the records do not depend on which is drawn first.
     """
-    scales = _shot_noise_scales(_draw_records(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
-                                              replace(cfg, seed=(cfg.seed + 1) % 2 ** 64)))
-    batch = generate_samples(p, cfg)
-    np.divide(batch.records, scales[:, np.newaxis], out=batch.records)
-    return batch
+    records = _draw_records(replace(p, v_a=0.0, v_r=1.0, delta_v=0.0),
+                            replace(cfg, seed=(cfg.seed + 1) % 2 ** 64),
+                            np.empty((5, cfg.n_samples)))
+    scales = _shot_noise_scales(records)
+    np.divide(_draw_records(p, cfg, records), scales[:, np.newaxis], out=records)
+    return SampleBatch(records, p, cfg)
 
 
 def _shot_noise_scales(vacuum_records) -> np.ndarray:
@@ -382,7 +385,8 @@ def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.nd
     converges to.
     """
     latents = iter(np.eye(10))
-    transfer = np.array(_records(p, cfg, lambda sd: next(latents) * sd))
+    transfer = np.empty((5, 10))
+    _records(p, cfg, lambda sd, row: np.multiply(next(latents), sd, out=row), transfer)
     return transfer @ transfer.T
 
 

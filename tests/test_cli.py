@@ -705,6 +705,19 @@ class TestValidate:
         assert out == ""
         assert "no 'matrix' key" in err
 
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param({"matrix": None}, "the matrix is null", id="null-value"),
+        pytest.param(None, "the matrix is null", id="null-file"),
+        pytest.param({}, "no 'matrix' key in JSON object", id="no-key"),
+    ])
+    def test_null_matrix_named_apart_from_a_missing_key(self, capsys, tmp_path, payload,
+                                                        message):
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
     def test_label_without_modes_names_its_shape(self, capsys, tmp_path):
         path = tmp_path / "label.json"
         path.write_text(json.dumps([[2.0]]))

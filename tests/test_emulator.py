@@ -29,9 +29,11 @@ from sqzkd.emulator import (
     security_from_data,
 )
 from sqzkd.errors import InsufficientDataError, UnphysicalStateError
-from sqzkd.protocol import ProtocolParams, holevo_eb, security_report
+from sqzkd.protocol import ProtocolParams, environment_variance, holevo_eb, security_report
 
 DECOUPLED = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.58)
+# The noisy flags of test_pinned_bytes_of_emulate_samples.
+NOISY = ProtocolParams(v_r=0.3, v_a=1.2, eta=0.4, epsilon=0.05, v_n=0.1, delta_v=0.2)
 
 
 def ideal_config(n, seed):
@@ -47,6 +49,21 @@ def normalize_to_shot_noise(batch, calibration):
     """
     scales = np.array([1.0] + [math.sqrt(np.mean(row * row)) for row in calibration.records[1:]])
     return replace(batch, records=batch.records / scales[:, np.newaxis])
+
+
+def traced_peak(call):
+    """Bytes of Python's traced allocation peak while ``call()`` runs, above the memory before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestEmulationConfig:
@@ -133,17 +150,7 @@ class TestReconstructCovariance:
 
     def test_no_copy_of_the_records(self):
         batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=200_000, seed=8))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            reconstruct_covariance(batch)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: reconstruct_covariance(batch))
         assert peak < 0.5 * 8 * batch.n_samples  # half of one record array
 
     def test_constant_zero_batch_rejected(self):
@@ -249,26 +256,28 @@ class TestCalibratedSamples:
         assert (tmp_path / "pin_report.json").read_text() == report.to_json() + "\n"
 
     def test_emulate_peak_memory(self, tmp_path, capsys):
-        # The calibration is reduced to its four scales before the signal
-        # batch is drawn, so the two are never held together: the traced peak
-        # is about 11 record arrays of 8 n bytes, against 16 with both held.
+        # The calibration and the signal batch are drawn into one (5, n)
+        # array with two scratch rows, and the calibration is reduced to its
+        # four scales before the signal is drawn: the traced peak is 7 to 7.7
+        # record arrays of 8 n bytes, the parser's own allocations included,
+        # against 11 to 11.7 when each draw and intermediate had its own array.
         n = 200_000
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            code = main(["emulate", "--vr", "0.5", "--va", "2", "--eta", "0.58",
-                         "--ideal-detectors", "--n-samples", str(n), "--seed", "11",
-                         "--out", str(tmp_path / "mem")])
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(
+            ["emulate", "--vr", "0.5", "--va", "2", "--eta", "0.58", "--ideal-detectors",
+             "--n-samples", str(n), "--seed", "11", "--out", str(tmp_path / "mem")])))
         capsys.readouterr()
-        assert code == 0
-        assert peak < 13 * 8 * n
+        assert codes == [0]
+        assert peak < 9 * 8 * n
+
+    def test_calibrated_samples_peak_memory(self):
+        # Every branch of _records: excess noise, both detectors imperfect and
+        # electronic noise.  The (5, n) result, its two scratch rows and the
+        # calibration's squared row make 7 record arrays of 8 n bytes at the
+        # peak; with a new array per draw and per operation it was 12.
+        n = 200_000
+        cfg = EmulationConfig(n_samples=n, seed=3, eta_bob_det=0.7, eta_eve_det=0.8)
+        assert traced_peak(lambda: generate_calibrated_samples(NOISY, cfg)) < 8 * 8 * n
 
 
 def exact_reconstruction(p, cfg, n=10 ** 9):
@@ -276,6 +285,54 @@ def exact_reconstruction(p, cfg, n=10 ** 9):
     matrix = expected_record_covariance(p, cfg)
     return ReconstructedCM(moments=matrix, n_samples=n,
                            standard_errors=np.zeros((5, 5)))
+
+
+def out_of_place_transfer(p, cfg):
+    """The 5x10 map from the latent draws to the records, one new array per operation.
+
+    The reference for _records' in-place rows: the channel and detector
+    formulas of its docstring, written as expressions on rows of np.eye(10).
+    """
+    latents = iter(np.eye(10))
+
+    def draw(sd):
+        return next(latents) * sd
+
+    x_a = draw(math.sqrt(p.v_a))
+    x_r = draw(math.sqrt(p.v_r))
+    p_r = draw(math.sqrt(p.anti_squeezed_variance))
+    e_x = draw(math.sqrt(environment_variance(p)))
+    e_p = draw(math.sqrt(environment_variance(p)))
+    se, sr = math.sqrt(p.eta), math.sqrt(1.0 - p.eta)
+    sig_x = x_a + x_r
+    x_b, p_b = se * sig_x - sr * e_x, se * p_r - sr * e_p
+    x_e, p_e = sr * sig_x + se * e_x, sr * p_r + se * e_p
+    eta_b, eta_e = cfg.detector_efficiencies()
+    if eta_b < 1.0:
+        x_b = math.sqrt(eta_b) * x_b + math.sqrt(1.0 - eta_b) * draw(1.0)
+        p_b = math.sqrt(eta_b) * p_b + math.sqrt(1.0 - eta_b) * draw(1.0)
+    if eta_e < 1.0:
+        x_e = math.sqrt(eta_e) * x_e + math.sqrt(1.0 - eta_e) * draw(1.0)
+        p_e = math.sqrt(eta_e) * p_e + math.sqrt(1.0 - eta_e) * draw(1.0)
+    if p.v_n > 0.0:
+        x_b = x_b + draw(math.sqrt(p.v_n))
+    return np.array([x_a, x_b, p_b, x_e, p_e])
+
+
+class TestTransferMap:
+    @pytest.mark.parametrize("p, cfg", [
+        pytest.param(ProtocolParams(v_r=0.5, v_a=2.0, eta=0.58), ideal_config(10, seed=0),
+                     id="lossy"),
+        pytest.param(NOISY, EmulationConfig(n_samples=10, seed=0), id="noisy"),
+        pytest.param(replace(NOISY, v_a=0.0, v_r=1.0, delta_v=0.0),
+                     EmulationConfig(n_samples=10, seed=0, eta_bob_det=0.7, eta_eve_det=0.8),
+                     id="calibration"),
+    ])
+    def test_equals_the_out_of_place_map_bit_for_bit(self, p, cfg):
+        transfer = out_of_place_transfer(p, cfg)
+        got = expected_record_covariance(p, cfg)
+        assert [x.hex() for x in got.ravel().tolist()] \
+            == [x.hex() for x in (transfer @ transfer.T).ravel().tolist()]
 
 
 class TestSecurityFromData:
