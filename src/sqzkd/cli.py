@@ -321,8 +321,8 @@ def cmd_fig4(args) -> int:
 
 def cmd_emulate(args) -> int:
     import json
-    from .emulator import (EmulationConfig, ReconstructedCM, expected_record_covariance,
-                           generate_calibrated_samples, reconstruct_covariance, security_from_data)
+    from .emulator import (EmulationConfig, expected_record_covariance, generate_calibrated_samples,
+                           reconstruct_covariance, security_from_data)
     params = _protocol_from(args)
     if params.v_a == 0.0:  # x_a would be constant: its covariance has a zero diagonal entry
         raise ValueError(f"emulate needs a positive --va (default 1 - vr), got {params.v_a:g}")
@@ -334,18 +334,16 @@ def cmd_emulate(args) -> int:
     recon = reconstruct_covariance(normalized)
     expected = expected_record_covariance(params, cfg)
     try:  # evaluated before any file is written, so that a run that raises writes none
-        report = security_from_data(recon, params.beta, v_n_trusted=0.0)
+        report = security_from_data(recon.moments, params.beta)
     except UnphysicalStateError as exc:
         report_text = json.dumps({"error": str(exc)}, indent=2)
         comparison = [f"security evaluation skipped: {exc}"]
     else:
-        exact = ReconstructedCM(moments=expected, n_samples=cfg.n_samples,
-                                standard_errors=np.zeros_like(expected))
-        analytic = security_from_data(exact, params.beta, v_n_trusted=0.0)
+        columns = (report, security_from_data(expected, params.beta), security_report(params))
         report_text = report.to_json() + "\n"
-        comparison = ["", "quantity        data          model"]
-        comparison += [f"{key:15s} {value:13.6g} {getattr(analytic, key):13.6g}"
-                       for key, value in report.as_dict().items()]
+        comparison = ["", "quantity        data          exact moments model"]
+        comparison += [f"{key:15s}" + "".join(f" {getattr(c, key):13.6g}" for c in columns)
+                       for key in report.as_dict()]
 
     normalized.write_csv(f"{args.out}_samples.csv")
     _write_text(f"{args.out}_reconstruction.json", json.dumps(recon.to_json_dict(), indent=2))

@@ -35,6 +35,7 @@ from .protocol import (
     ProtocolParams,
     SecurityReport,
     _correlation_leakage,
+    _in_unit_interval,
     _report,
     environment_variance,
     holevo_from_cm,
@@ -78,9 +79,7 @@ class EmulationConfig:
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         for name in ("eta_bob_det", "eta_eve_det"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+            _in_unit_interval(name, getattr(self, name))
 
     def detector_efficiencies(self) -> tuple[float, float]:
         if self.ideal_detectors:
@@ -90,15 +89,13 @@ class EmulationConfig:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Recorded quadrature samples plus the settings that generated them.
+    """Recorded quadrature samples.
 
     ``records`` is a C-contiguous (5, n_samples) array whose rows are the
     recorded variables in the samples CSV's column order XA..PE.
     """
 
     records: np.ndarray
-    params: ProtocolParams
-    config: EmulationConfig
 
     CSV_COLUMNS = ("x_a", "x_b", "p_b", "x_e", "p_e")
 
@@ -116,14 +113,15 @@ class SampleBatch:
         Formatting holds the interpreter lock, so large batches are split
         into contiguous block-aligned row ranges, one per usable core.  This
         process writes the first range into ``path``; a forked child writes
-        each other range into a temporary part file beside it, and the parts
-        are appended in order.  Every range runs the same block loop, so the
-        bytes do not depend on the number of writers.  A child that fails
-        prints its traceback on standard error and makes this raise
-        ``OSError`` naming ``path``, with the child's errno where its error
-        had one (e.g. ENOSPC for a full disk); whichever writer fails,
-        every child is reaped and every part file, and ``path`` once this
-        call has opened it, removed before the error propagates.
+        each other range into an unnamed temporary part file beside it, and
+        the parts are appended in order.  Every range runs the same block
+        loop, so the bytes do not depend on the number of writers.  A child
+        that fails prints its traceback on standard error and makes this
+        raise ``OSError`` naming ``path``, with the child's errno where its
+        error had one (e.g. ENOSPC for a full disk); whichever writer fails,
+        every child is reaped, every part file closed, and ``path``, once
+        this call has opened it, removed before the error propagates.  The
+        part files have no name, so even a killed process leaves none behind.
         """
         bounds = _writer_bounds(self.n_samples)
         directory = os.path.dirname(os.path.abspath(path))
@@ -132,12 +130,10 @@ class SampleBatch:
             try:
                 for start, stop in zip(bounds[1:-1], bounds[2:]):
                     try:
-                        fd, part = tempfile.mkstemp(prefix=".samples-", suffix=".part",
-                                                    dir=directory)
-                    except OSError as exc:  # name the file asked for, not a part file
+                        parts.append(tempfile.TemporaryFile(dir=directory))
+                    except OSError as exc:  # name the file asked for, not its directory
                         raise OSError(exc.errno, exc.strerror, str(path)) from None
-                    parts.append(part)
-                    pids.append(_fork_writer(fd, self.records, start, stop))
+                    pids.append(_fork_writer(parts[-1], self.records, start, stop))
                 with open(path, "wb") as fh:
                     partial = True  # until the parts are appended, path is incomplete
                     fh.write((",".join(self.CSV_COLUMNS) + "\n").encode("ascii"))
@@ -149,12 +145,12 @@ class SampleBatch:
                 raise _writer_error(path, len(codes), failed)
             with open(path, "ab") as out:
                 for part in parts:
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, out)
+                    part.seek(0)
+                    shutil.copyfileobj(part, out)
             partial = False
         finally:
             for part in parts:
-                os.remove(part)
+                part.close()
             if partial:
                 os.remove(path)
 
@@ -183,8 +179,8 @@ def _write_rows(fh, records, start: int, stop: int) -> None:
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _fork_writer(fd: int, records, start: int, stop: int) -> int:
-    """Fork a child that writes rows [start, stop) to the file ``fd``; return its pid.
+def _fork_writer(part, records, start: int, stop: int) -> int:
+    """Fork a child that writes rows [start, stop) to the open binary file ``part``; return its pid.
 
     The child only runs ``_write_rows`` and leaves through ``os._exit``: it
     never returns into the caller's stack, runs no ``atexit`` handler and
@@ -201,16 +197,12 @@ def _fork_writer(fd: int, records, start: int, stop: int) -> int:
     # threads exist, and numpy's OpenBLAS stops its own pool in a
     # pthread_atfork handler, so the child starts with the forking thread
     # alone and Python 3.12+ has no threads to warn about.
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        raise
+    pid = os.fork()
     if pid == 0:
         status = _WRITER_FAILED
         try:
-            with open(fd, "wb") as fh:
-                _write_rows(fh, records, start, stop)
+            _write_rows(part, records, start, stop)
+            part.flush()
             status = 0
         except BaseException as exc:
             if isinstance(exc, OSError) and exc.errno in range(1, _WRITER_FAILED):
@@ -221,7 +213,6 @@ def _fork_writer(fd: int, records, start: int, stop: int) -> int:
             os.write(2, traceback.format_exc().encode(errors="replace"))
         finally:
             os._exit(status)
-    os.close(fd)
     return pid
 
 
@@ -312,7 +303,7 @@ def _records(p: ProtocolParams, cfg: EmulationConfig, draw, out) -> None:
 
 def generate_samples(p: ProtocolParams, cfg: EmulationConfig) -> SampleBatch:
     """Draw one batch of records through the channel and detector model of _records."""
-    return SampleBatch(_draw_records(p, cfg, np.empty((5, cfg.n_samples))), p, cfg)
+    return SampleBatch(_draw_records(p, cfg, np.empty((5, cfg.n_samples))))
 
 
 def _draw_records(p: ProtocolParams, cfg: EmulationConfig, out):
@@ -363,7 +354,7 @@ def generate_calibrated_samples(p: ProtocolParams, cfg: EmulationConfig) -> Samp
                             np.empty((5, cfg.n_samples)))
     scales = _shot_noise_scales(records)
     np.divide(_draw_records(p, cfg, records), scales[:, np.newaxis], out=records)
-    return SampleBatch(records, p, cfg)
+    return SampleBatch(records)
 
 
 def _shot_noise_scales(vacuum_records) -> np.ndarray:
@@ -390,9 +381,8 @@ def expected_record_covariance(p: ProtocolParams, cfg: EmulationConfig) -> np.nd
     return transfer @ transfer.T
 
 
-def security_from_data(recon: ReconstructedCM, beta: float,
-                       v_n_trusted: float = 0.0) -> SecurityReport:
-    """Security quantities computed from the reconstructed moments.
+def security_from_data(moments, beta: float, v_n_trusted: float = 0.0) -> SecurityReport:
+    """Security quantities from a 5x5 second-moment matrix in the samples CSV's column order.
 
     Follows the same extraction used on measured data: the Shannon
     information from the sender/receiver X block, the Holevo bound from the
@@ -411,11 +401,10 @@ def security_from_data(recon: ReconstructedCM, beta: float,
     UnphysicalStateError also covers a state whose spectrum cannot be solved:
     not positive definite, as from fewer records than moments, or unpaired.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    _in_unit_interval("beta", beta)
     if not (v_n_trusted >= 0.0 and math.isfinite(v_n_trusted)):
         raise ValueError(f"v_n_trusted must be finite and >= 0, got {v_n_trusted}")
-    m = recon.moments
+    m = np.asarray(moments, dtype=float)
     tol = STATISTICAL_PHYSICALITY_TOL
     try:
         von_neumann_entropy(condition_on_label(m), tol)

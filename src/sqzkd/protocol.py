@@ -396,7 +396,7 @@ def _correlation_leakage(cross: float, var_e: float, var_other: float) -> tuple[
     """(C, shannon_leakage(C)) of C = cross^2 / (var_e var_other), the model's or the data's."""
     square = cross * cross
     # a subnormal v_a or moment underflows both the square and the denominator to 0
-    correlation = square / (var_e * var_other) if square else 0.0
+    correlation = float(square / (var_e * var_other)) if square else 0.0
     return correlation, shannon_leakage(correlation)
 
 

@@ -186,7 +186,7 @@ def test_criterion_7_monte_carlo_consistency():
                     err = recon.standard_errors[i, j]
                     if abs(recon.moments[i, j] - expected[i, j]) > 5 * err:
                         failures += 1
-            report = security_from_data(recon, beta=0.95)
+            report = security_from_data(recon.moments, beta=0.95)
             assert report.chi_e < 0.01
         assert failures <= math.floor(0.01 * checks), (failures, checks)
 

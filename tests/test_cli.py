@@ -623,6 +623,39 @@ class TestEmulate:
         # the evaluation runs before any file is written
         assert list(tmp_path.iterdir()) == []
 
+    NOISY_POINT = ["--vr", "0.5", "--va", "0.5", "--eta", "0.5", "--eps", "0.05",
+                   "--ideal-detectors"]
+    COMPARISON_HEADER = "quantity        data          exact moments model"
+
+    def test_comparison_columns_are_their_functions(self, capsys, tmp_path):
+        # data: the sampled report; exact moments: security_from_data on the
+        # emulator's analytic moments; model: security_report, as report prints it
+        from sqzkd.emulator import (EmulationConfig, expected_record_covariance,
+                                    security_from_data)
+        code, out, _ = run(capsys, "emulate", *self.NOISY_POINT, "--n-samples", "20000",
+                           "--seed", "5", "--out", str(tmp_path / "cmp"))
+        assert code == 0
+        lines = out.splitlines()
+        rows = [line.split() for line in lines[lines.index(self.COMPARISON_HEADER) + 1:]]
+        p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05, beta=0.95)
+        cfg = EmulationConfig(n_samples=20000, seed=5, ideal_detectors=True)
+        columns = [json.loads((tmp_path / "cmp_report.json").read_text()),
+                   security_from_data(expected_record_covariance(p, cfg), p.beta).as_dict(),
+                   protocol.security_report(p).as_dict()]
+        assert rows == [[key, *(f"{column[key]:.6g}" for column in columns)]
+                        for key in REPORT_KEYS]
+        assert rows[1][::3] == ["chi_e", "0.096762"]  # holevo_eb at this point
+
+    def test_failing_model_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        def failing(p):
+            raise ValueError("model failed")
+
+        monkeypatch.setattr(cli, "security_report", failing)
+        code, out, err = run(capsys, "emulate", *self.NOISY_POINT, "--n-samples", "2000",
+                             "--out", str(tmp_path / "cmp"))
+        assert (code, out, err) == (1, "", "error: model failed\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for prefix in (a, b):

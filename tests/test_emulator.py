@@ -6,10 +6,15 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,6 @@ from sqzkd.emulator import (
     PB, PE, XB, XE,
     _CSV_BLOCK_ROWS,
     EmulationConfig,
-    ReconstructedCM,
     SampleBatch,
     expected_record_covariance,
     generate_calibrated_samples,
@@ -154,8 +158,7 @@ class TestReconstructCovariance:
         assert peak < 0.5 * 8 * batch.n_samples  # half of one record array
 
     def test_constant_zero_batch_rejected(self):
-        batch = SampleBatch(np.zeros((5, 100)), DECOUPLED,
-                            EmulationConfig(n_samples=100, seed=9))
+        batch = SampleBatch(np.zeros((5, 100)))
         with pytest.raises(UnphysicalStateError, match="diagonal"):
             reconstruct_covariance(batch)
 
@@ -227,7 +230,6 @@ class TestCalibratedSamples:
                                        replace(cfg, seed=0))
         expected = normalize_to_shot_noise(generate_samples(DECOUPLED, cfg), calibration)
         out = generate_calibrated_samples(DECOUPLED, cfg)
-        assert (out.params, out.config) == (DECOUPLED, cfg)
         assert out.records.tobytes() == expected.records.tobytes()
 
     @pytest.mark.parametrize("flags, params", [
@@ -246,7 +248,7 @@ class TestCalibratedSamples:
         calibration = generate_samples(replace(params, v_a=0.0, v_r=1.0, delta_v=0.0),
                                        replace(cfg, seed=12))
         recon = reconstruct_covariance(normalize_to_shot_noise(batch, calibration))
-        report = security_from_data(recon, params.beta)
+        report = security_from_data(recon.moments, params.beta)
         code = main(["emulate", *flags, "--n-samples", "40000", "--seed", "11",
                      "--out", str(tmp_path / "pin")])
         capsys.readouterr()
@@ -278,13 +280,6 @@ class TestCalibratedSamples:
         n = 200_000
         cfg = EmulationConfig(n_samples=n, seed=3, eta_bob_det=0.7, eta_eve_det=0.8)
         assert traced_peak(lambda: generate_calibrated_samples(NOISY, cfg)) < 8 * 8 * n
-
-
-def exact_reconstruction(p, cfg, n=10 ** 9):
-    """Reconstruction carrying the exact analytic moments (zero statistical noise)."""
-    matrix = expected_record_covariance(p, cfg)
-    return ReconstructedCM(moments=matrix, n_samples=n,
-                           standard_errors=np.zeros((5, 5)))
 
 
 def out_of_place_transfer(p, cfg):
@@ -339,7 +334,7 @@ class TestSecurityFromData:
     def test_pipeline_identity_noise_free(self):
         p = ProtocolParams(v_r=0.5, v_a=0.9, eta=0.58, beta=0.9)
         cfg = ideal_config(1000, seed=0)
-        got = security_from_data(exact_reconstruction(p, cfg), p.beta)
+        got = security_from_data(expected_record_covariance(p, cfg), p.beta)
         want = security_report(p)
         for key, value in want.as_dict().items():
             assert getattr(got, key) == pytest.approx(value, abs=1e-10), key
@@ -348,8 +343,8 @@ class TestSecurityFromData:
         p = ProtocolParams(v_r=0.5, v_a=0.9, eta=0.58, v_n=0.3, beta=0.9)
         cfg = ideal_config(1000, seed=0)
         # matrix built without the electronic noise; declared via v_n_trusted
-        recon = exact_reconstruction(replace(p, v_n=0.0), cfg)
-        got = security_from_data(recon, p.beta, v_n_trusted=p.v_n)
+        matrix = expected_record_covariance(replace(p, v_n=0.0), cfg)
+        got = security_from_data(matrix, p.beta, v_n_trusted=p.v_n)
         want = security_report(p)
         for key, value in want.as_dict().items():
             assert getattr(got, key) == pytest.approx(value, abs=1e-10), key
@@ -357,7 +352,7 @@ class TestSecurityFromData:
     def test_decoupled_data_shows_no_leakage(self):
         for seed in (21, 22):
             batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=200_000, seed=seed))
-            report = security_from_data(reconstruct_covariance(batch), beta=0.95)
+            report = security_from_data(reconstruct_covariance(batch).moments, beta=0.95)
             assert report.chi_e < 0.01
             assert report.key_rate > 0.0
 
@@ -367,7 +362,8 @@ class TestSecurityFromData:
         estimates = []
         for seed in range(6):
             batch = generate_samples(p, ideal_config(200_000, seed=seed))
-            estimates.append(security_from_data(reconstruct_covariance(batch), beta=1.0).chi_e)
+            estimates.append(security_from_data(reconstruct_covariance(batch).moments,
+                                                beta=1.0).chi_e)
         mean = float(np.mean(estimates))
         sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
         assert abs(mean - analytic) <= 3 * sem
@@ -382,15 +378,16 @@ class TestSecurityFromData:
                               "with excess noise")
     def test_exact_noisy_moments_keep_the_model_holevo_bound(self):
         p = ProtocolParams(v_r=0.5, v_a=0.5, eta=0.5, epsilon=0.05, beta=0.95)
-        report = security_from_data(exact_reconstruction(p, ideal_config(1000, seed=0)), p.beta)
+        matrix = expected_record_covariance(p, ideal_config(1000, seed=0))
+        report = security_from_data(matrix, p.beta)
         assert report.chi_e >= holevo_eb(p) - 1e-9
 
     def test_detector_losses_embedded_not_corrected(self):
         p = ProtocolParams(v_r=0.5, v_a=1.0, eta=0.7)
         lossy = EmulationConfig(n_samples=1000, seed=1)
         ideal = ideal_config(1000, seed=1)
-        i_lossy = security_from_data(exact_reconstruction(p, lossy), beta=1.0).i_ab
-        i_ideal = security_from_data(exact_reconstruction(p, ideal), beta=1.0).i_ab
+        i_lossy = security_from_data(expected_record_covariance(p, lossy), beta=1.0).i_ab
+        i_ideal = security_from_data(expected_record_covariance(p, ideal), beta=1.0).i_ab
         assert i_lossy < i_ideal
 
     def test_lower_receiver_efficiency_lowers_information(self):
@@ -401,16 +398,14 @@ class TestSecurityFromData:
             for seed in range(6):
                 cfg = EmulationConfig(n_samples=50_000, seed=seed, eta_bob_det=eff)
                 recon = reconstruct_covariance(generate_samples(p, cfg))
-                values.append(security_from_data(recon, beta=1.0).i_ab)
+                values.append(security_from_data(recon.moments, beta=1.0).i_ab)
             means[eff] = np.mean(values)
         assert means[0.4] < means[0.85]
 
     def test_statistically_unphysical_matrix_rejected(self):
         matrix = np.diag([1.0, 1.0, 1.0, 0.8, 0.8])
-        recon = ReconstructedCM(moments=matrix, n_samples=100,
-                                standard_errors=np.zeros((5, 5)))
         with pytest.raises(UnphysicalStateError, match="0.8"):
-            security_from_data(recon, beta=1.0)
+            security_from_data(matrix, beta=1.0)
 
     def test_indefinite_matrix_rejected_as_unphysical(self):
         # an x_b-x_e block [[2, 3], [3, 2]] has eigenvalue -1: a rank-deficient
@@ -418,12 +413,10 @@ class TestSecurityFromData:
         matrix = np.eye(5)
         matrix[XB, XB] = matrix[XE, XE] = 2.0
         matrix[XB, XE] = matrix[XE, XB] = 3.0
-        recon = ReconstructedCM(moments=matrix, n_samples=100,
-                                standard_errors=np.zeros((5, 5)))
         with pytest.raises(UnphysicalStateError,
                            match="^reconstructed matrix is statistically unphysical: "
                                  "covariance matrix is not positive definite"):
-            security_from_data(recon, beta=1.0)
+            security_from_data(matrix, beta=1.0)
 
     def test_noise_divided_out_by_calibration_rejected(self):
         # A calibration batch that keeps the channel's excess noise, as the
@@ -436,39 +429,39 @@ class TestSecurityFromData:
         recon = reconstruct_covariance(
             normalize_to_shot_noise(generate_samples(p, cfg), calibration))
         with pytest.raises(UnphysicalStateError, match="statistically unphysical"):
-            security_from_data(recon, p.beta)
+            security_from_data(recon.moments, p.beta)
 
     def test_beta_validated(self):
         cfg = ideal_config(1000, seed=0)
-        recon = exact_reconstruction(DECOUPLED, cfg)
+        matrix = expected_record_covariance(DECOUPLED, cfg)
         with pytest.raises(ValueError, match="beta"):
-            security_from_data(recon, beta=0.0)
+            security_from_data(matrix, beta=0.0)
         with pytest.raises(ValueError, match="v_n_trusted"):
-            security_from_data(recon, beta=0.5, v_n_trusted=-1.0)
+            security_from_data(matrix, beta=0.5, v_n_trusted=-1.0)
 
     @pytest.mark.parametrize("v_n", [math.inf, math.nan, -0.3])
     def test_trusted_noise_must_be_finite_and_non_negative(self, v_n):
         # inf gave i_ab = nan and key_rate = nan with a RuntimeWarning
-        recon = exact_reconstruction(DECOUPLED, ideal_config(1000, seed=0))
+        matrix = expected_record_covariance(DECOUPLED, ideal_config(1000, seed=0))
         with pytest.raises(ValueError, match="v_n_trusted must be finite and >= 0"):
-            security_from_data(recon, 0.95, v_n_trusted=v_n)
+            security_from_data(matrix, 0.95, v_n_trusted=v_n)
 
 
 class TestDataBitPins:
     """float.hex of security_from_data's eight fields, recorded before the report had one builder.
 
-    Two exact-moment reconstructions, one with trusted electronic noise and
+    Two exact moment matrices, one with trusted electronic noise and
     one with the default detectors and excess noise, and one sampled as
     ``sqzkd emulate --va 1 --eta 0.58 --n-samples 20000 --seed 7`` samples it.
     """
 
     CASES = [
-        pytest.param(lambda: exact_reconstruction(
+        pytest.param(lambda: expected_record_covariance(
             ProtocolParams(v_r=0.5, v_a=0.9, eta=0.58), ideal_config(1000, seed=0)), 0.9, 0.3,
             ["0x1.33be44989dea0p-2", "0x1.5d263db3e4380p-6", "0x1.fe4b4d5c39516p-3",
              "0x1.64dfe39436635p-6", "0x1.4b65b2d96cb65p-2", "0x1.04469016c6a99p-6",
              "0x1.20d3c66d2cc30p-2", "0x1.3d4efdba08770p-2"], id="trusted-noise"),
-        pytest.param(lambda: exact_reconstruction(
+        pytest.param(lambda: expected_record_covariance(
             ProtocolParams(v_r=0.5, v_a=1.3, eta=0.4, delta_v=0.5, epsilon=0.035),
             EmulationConfig(n_samples=1000, seed=0)), 0.95, 0.0,
             ["0x1.37b636987e6c2p-2", "0x1.ba15a72d18840p-5", "0x1.e1bb312343ac6p-3",
@@ -476,16 +469,33 @@ class TestDataBitPins:
              "0x1.04585f862398dp-1", "0x1.779e0837d742cp-2"], id="excess-noise"),
         pytest.param(lambda: reconstruct_covariance(generate_calibrated_samples(
             ProtocolParams(v_r=0.5, v_a=1.0, eta=0.58, beta=0.95),
-            EmulationConfig(n_samples=20_000, seed=7))), 0.95, 0.0,
+            EmulationConfig(n_samples=20_000, seed=7))).moments, 0.95, 0.0,
             ["0x1.721ab5f6384ccp-2", "0x1.180d65bc14a00p-5", "0x1.3c97b358cc81bp-2",
              "0x1.19786b2863f63p-5", "0x1.5940ea7391245p-2", "0x1.9d37577dcbbe7p-6",
              "0x1.2fc13b7edd09cp-2", "0x1.055d10961c6b8p-2"], id="sampled"),
     ]
 
-    @pytest.mark.parametrize("reconstruction, beta, v_n, pinned", CASES)
-    def test_report_bits(self, reconstruction, beta, v_n, pinned):
-        report = security_from_data(reconstruction(), beta, v_n_trusted=v_n)
+    @pytest.mark.parametrize("moments, beta, v_n, pinned", CASES)
+    def test_report_bits(self, moments, beta, v_n, pinned):
+        report = security_from_data(moments(), beta, v_n_trusted=v_n)
         assert [float(v).hex() for v in report.as_dict().values()] == pinned
+
+
+class TestReportFieldTypes:
+    @pytest.mark.parametrize("report", [
+        pytest.param(lambda: security_from_data(reconstruct_covariance(generate_calibrated_samples(
+            ProtocolParams(v_r=0.5, v_a=1.0, eta=0.58), EmulationConfig(n_samples=20_000, seed=7)
+        )).moments, 0.95), id="data-sampled"),
+        pytest.param(lambda: security_from_data(expected_record_covariance(
+            NOISY, EmulationConfig(n_samples=10, seed=0)), 0.95), id="data-exact"),
+        pytest.param(lambda: security_report(DECOUPLED), id="model-lossy"),
+        pytest.param(lambda: security_report(NOISY), id="model-noisy"),
+    ])
+    def test_every_field_is_a_python_float(self, report):
+        fields = report().as_dict()
+        assert len(fields) == 8
+        assert {key: type(value) for key, value in fields.items()} \
+            == dict.fromkeys(fields, float)
 
 
 class TestCsvExport:
@@ -517,8 +527,7 @@ class TestCsvExport:
         values = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                            1.7e308, 1e-5, 123456789012.5, 0.1, -1.0])
         batch = SampleBatch(np.array([values, values[::-1], np.roll(values, 3), -values,
-                                      np.roll(values, 7)]),
-                            DECOUPLED, EmulationConfig(n_samples=values.size, seed=0))
+                                      np.roll(values, 7)]))
         path = tmp_path / "batch.csv"
         batch.write_csv(path)
         written = path.read_bytes()
@@ -690,6 +699,61 @@ class TestForkedCsvWriters:
         assert excinfo.value.filename == str(path)
         assert three_writers == []
         assert os.listdir(tmp_path) == []
+
+    def test_part_files_have_no_name(self, three_writers, tmp_path, monkeypatch):
+        # listed by this process's writer while the children write their parts
+        real_write_rows, listed = emulator._write_rows, []
+
+        def write_rows(fh, records, start, stop):
+            if start == 0:
+                listed.append(sorted(os.listdir(tmp_path)))
+            real_write_rows(fh, records, start, stop)
+
+        monkeypatch.setattr(emulator, "_write_rows", write_rows)
+        batch = generate_samples(DECOUPLED, EmulationConfig(n_samples=3 * _CSV_BLOCK_ROWS,
+                                                            seed=23))
+        batch.write_csv(tmp_path / "batch.csv")
+        assert len(three_writers) == 2
+        assert listed == [["batch.csv"]]
+        assert_all_children_reaped()
+
+    def test_killed_writers_leave_no_part_file(self, tmp_path):
+        # Three writers; this process's writer stops mid-write until the
+        # whole process group is killed.
+        script = textwrap.dedent("""
+            import os, sys, time
+            from sqzkd import emulator
+            from sqzkd.emulator import EmulationConfig, generate_samples
+            from sqzkd.protocol import ProtocolParams
+
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            emulator._CSV_ROWS_PER_WRITER = 1
+            real_write_rows = emulator._write_rows
+
+            def write_rows(fh, records, start, stop):
+                if start == 0:
+                    print("writing", flush=True)
+                    time.sleep(60)
+                real_write_rows(fh, records, start, stop)
+
+            emulator._write_rows = write_rows
+            generate_samples(ProtocolParams(v_r=0.5, v_a=0.5, eta=0.58),
+                             EmulationConfig(n_samples=3 * emulator._CSV_BLOCK_ROWS, seed=23)
+                             ).write_csv(sys.argv[1])
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / "batch.csv")],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                start_new_session=True)
+        try:
+            line = proc.stdout.readline()
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            _, err = proc.communicate(timeout=60)
+        assert line == "writing\n", err
+        assert proc.returncode == -signal.SIGKILL
+        assert sorted(os.listdir(tmp_path)) == ["batch.csv"]
 
     def test_no_fork_while_a_thread_runs(self, three_writers, tmp_path, monkeypatch):
         def no_fork():

@@ -19,7 +19,6 @@ from sqzkd.cli import _db_grid
 from sqzkd.emulator import (
     XA, XB,
     EmulationConfig,
-    ReconstructedCM,
     expected_record_covariance,
     security_from_data,
 )
@@ -388,9 +387,7 @@ def test_data_path_reproduces_model_on_exact_moments(v_r, v_a, eta, delta_v, v_n
     p = ProtocolParams(v_r=v_r, v_a=v_a, eta=eta, delta_v=delta_v, v_n=v_n)
     cfg = EmulationConfig(n_samples=10 ** 9, seed=0, ideal_detectors=True)
     matrix = expected_record_covariance(replace(p, v_n=0.0), cfg)
-    recon = ReconstructedCM(moments=matrix, n_samples=cfg.n_samples,
-                            standard_errors=np.zeros_like(matrix))
-    got = security_from_data(recon, p.beta, v_n_trusted=v_n)
+    got = security_from_data(matrix, p.beta, v_n_trusted=v_n)
     # at v_a = 1 - v_r the model's leakage terms are exactly 0 and the data
     # path's are float noise (~1e-33), hence the absolute floor
     for key, want in security_report(p).as_dict().items():
